@@ -50,7 +50,7 @@ fn bench_keys(c: &mut Criterion) {
     let mut g = c.benchmark_group("compute_keys");
     let (ns, ts) = batch_targets(8400);
     g.bench_function("bit_packed", |b| {
-        b.iter(|| black_box(compute_keys(black_box(&ns), black_box(&ts), false)))
+        b.iter(|| black_box(compute_keys(black_box(&ns), black_box(&ts))))
     });
     g.bench_function("generic_hash", |b| {
         use std::hash::{Hash, Hasher};
@@ -76,25 +76,19 @@ fn bench_cache(c: &mut Criterion) {
     let cache = EmbedCache::new(100_000, dim);
     let keys: Vec<u64> = (0..50_000u32).map(|i| pack_key(i, i as f32)).collect();
     let data = Tensor::zeros(50_000, dim);
-    cache.store(&keys, &data, false).unwrap();
+    cache.store(&keys, &data).unwrap();
     let probe: Vec<u64> = (0..8400u32).map(|i| pack_key(i * 7 % 60_000, (i * 7 % 60_000) as f32)).collect();
-    g.bench_function("lookup_seq", |b| {
+    g.bench_function("lookup", |b| {
         b.iter(|| {
             let mut out = Tensor::zeros(probe.len(), dim);
-            black_box(cache.lookup(black_box(&probe), &mut out, false).unwrap())
-        })
-    });
-    g.bench_function("lookup_par", |b| {
-        b.iter(|| {
-            let mut out = Tensor::zeros(probe.len(), dim);
-            black_box(cache.lookup(black_box(&probe), &mut out, true).unwrap())
+            black_box(cache.lookup(black_box(&probe), &mut out).unwrap())
         })
     });
     g.bench_function("store_1000", |b| {
         b.iter(|| {
             let cache = EmbedCache::new(10_000, dim);
             let keys: Vec<u64> = (0..1000u32).map(|i| pack_key(i, 0.0)).collect();
-            cache.store(black_box(&keys), &Tensor::zeros(1000, dim), false).unwrap();
+            cache.store(black_box(&keys), &Tensor::zeros(1000, dim)).unwrap();
             black_box(cache.len())
         })
     });
@@ -162,13 +156,9 @@ fn bench_sampler(c: &mut Criterion) {
     }
     let ns: Vec<u32> = (0..8400u32).map(|i| i % n_nodes).collect();
     let ts: Vec<f32> = (0..8400).map(|i| 150_000.0 + (i % 100) as f32).collect();
-    let par = TemporalSampler::most_recent(20);
-    let seq = TemporalSampler::most_recent(20).sequential();
-    g.bench_function("most_recent_par", |b| {
-        b.iter(|| black_box(par.sample(&graph, black_box(&ns), black_box(&ts))))
-    });
-    g.bench_function("most_recent_seq", |b| {
-        b.iter(|| black_box(seq.sample(&graph, black_box(&ns), black_box(&ts))))
+    let sampler = TemporalSampler::most_recent(20);
+    g.bench_function("most_recent", |b| {
+        b.iter(|| black_box(sampler.sample(&graph, black_box(&ns), black_box(&ts))))
     });
     g.finish();
 }

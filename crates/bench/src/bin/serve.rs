@@ -1,48 +1,26 @@
 //! Serving-layer benchmark: throughput and latency percentiles of the
 //! micro-batching `tg-serve` front end versus direct `embed_batch` calls
-//! on the same workload, the cross-request dedup ratio, and — with
-//! `--shards` — the scaling curve of the sharded [`ShardRouter`] from one
-//! shard up.
+//! on the same workload, plus the cross-request dedup ratio.
 //!
 //! ```sh
 //! cargo run --release -p tg-bench --bin serve -- -d snap-msg --clients 4 --requests 2000
-//! cargo run --release -p tg-bench --bin serve -- -d synth-shard --scale 0.25 \
-//!     --shards 4 --scaling --json BENCH_serve.json
-//! cargo run --release -p tg-bench --bin serve -- --shards 4 --verify
+//! cargo run --release -p tg-bench --bin serve -- --verify
 //! ```
 //!
-//! `--verify` runs the deterministic sharded router against a direct
-//! engine on the same query stream and fails (exit 1) on any row deviating
-//! by ≥1e-5 — the CI smoke proof that sharding preserves semantics.
-//! `--json` writes the scaling curve in the committed `BENCH_serve.json`
-//! format (regeneration protocol in EXPERIMENTS.md).
+//! `--verify` replays the query stream through a deterministic
+//! [`TgServer`] and fails (exit 1) on any row deviating from a direct
+//! engine by ≥1e-5 — the CI smoke proof that serving preserves semantics.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tg_bench::harness::percentile;
-use tg_graph::{NodeId, ShardAssignment, TemporalGraph, Time};
-use tg_serve::{ModelBundle, ServeConfig, ShardRouter};
+use tg_graph::{NodeId, TemporalGraph, Time};
+use tg_serve::{ModelBundle, ServeConfig, TgServer};
 use tg_tensor::Tensor;
 use tgat::{TgatConfig, TgatParams};
 use tgopt::{OptConfig, TgoptEngine};
-
-// Behind the `jemalloc` feature the vendored shim delegates to the system
-// allocator (no registry access in this environment); the report string
-// below keeps the numbers honestly attributed either way.
-#[cfg(feature = "jemalloc")]
-#[global_allocator]
-static GLOBAL: jemallocator::Jemalloc = jemallocator::Jemalloc;
-
-fn allocator_name() -> &'static str {
-    if cfg!(feature = "jemalloc") {
-        "jemalloc-shim(system)"
-    } else {
-        "system"
-    }
-}
 
 struct Opts {
     dataset: String,
@@ -58,12 +36,7 @@ struct Opts {
     hot_prob: f64,
     budget_bytes: Option<usize>,
     stats_json: Option<String>,
-    shards: usize,
-    strategy: String,
-    scaling: bool,
     verify: bool,
-    json: Option<String>,
-    pin_cores: bool,
 }
 
 impl Default for Opts {
@@ -82,12 +55,7 @@ impl Default for Opts {
             hot_prob: 0.6,
             budget_bytes: None,
             stats_json: None,
-            shards: 1,
-            strategy: "hash".to_string(),
-            scaling: false,
             verify: false,
-            json: None,
-            pin_cores: false,
         }
     }
 }
@@ -96,19 +64,13 @@ const USAGE: &str = "\
 Usage: serve [-d NAME] [--scale F] [--seed N] [--dim N] [--clients N]
              [--requests N] [--batch N] [--linger-us N] [--workers N]
              [--hot N] [--hot-prob F] [--budget-bytes N] [--stats-json PATH]
-             [--shards N] [--strategy hash|degree] [--scaling] [--verify]
-             [--json PATH] [--pin-cores]
+             [--verify]
 
 Benchmarks the tg-serve layer against direct embed_batch calls on one
 generated dataset, reporting throughput, latency percentiles (p50/p95/p99),
-and the cross-request dedup ratio. With --shards N the served path runs
-through the node-partitioned ShardRouter; --scaling sweeps 1,2,4,...,N
-shards and prints the scaling curve; --json writes that curve in the
-committed BENCH_serve.json format. --verify replays the stream through a
-deterministic sharded router and fails unless every row matches a direct
-engine within 1e-5. --strategy degree uses the degree-balanced node
-assignment instead of hashing. --workers is per shard. --pin-cores pins
-worker threads (shard-major) to cores, best effort.";
+and the cross-request dedup ratio. --verify replays the stream through a
+deterministic server and fails unless every row matches a direct engine
+within 1e-5.";
 
 fn parse() -> Opts {
     let mut o = Opts::default();
@@ -134,12 +96,7 @@ fn parse() -> Opts {
             "--hot-prob" => o.hot_prob = num(&take("--hot-prob")),
             "--budget-bytes" => o.budget_bytes = Some(num::<f64>(&take("--budget-bytes")) as usize),
             "--stats-json" => o.stats_json = Some(take("--stats-json")),
-            "--shards" => o.shards = (num::<f64>(&take("--shards")) as usize).max(1),
-            "--strategy" => o.strategy = take("--strategy"),
-            "--scaling" => o.scaling = true,
             "--verify" => o.verify = true,
-            "--json" => o.json = Some(take("--json")),
-            "--pin-cores" => o.pin_cores = true,
             "-h" | "--help" => {
                 eprintln!("{USAGE}");
                 std::process::exit(0);
@@ -149,10 +106,6 @@ fn parse() -> Opts {
                 std::process::exit(2);
             }
         }
-    }
-    if o.strategy != "hash" && o.strategy != "degree" {
-        eprintln!("error: --strategy must be hash or degree, got {:?}", o.strategy);
-        std::process::exit(2);
     }
     o
 }
@@ -192,21 +145,12 @@ fn fail(what: &str, err: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-fn assignment_for(o: &Opts, graph: &TemporalGraph, n_shards: usize) -> ShardAssignment {
-    if o.strategy == "degree" {
-        ShardAssignment::degree_balanced(graph, n_shards)
-    } else {
-        ShardAssignment::hash(n_shards)
-    }
-}
-
 fn serve_config(o: &Opts, total_requests: usize) -> ServeConfig {
     let mut cfg = ServeConfig::default()
         .with_max_batch(o.max_batch)
         .with_linger(Duration::from_micros(o.linger_us))
         .with_queue_capacity(total_requests.max(1024))
         .with_workers(o.workers)
-        .with_pin_cores(o.pin_cores)
         .with_stage_spans(o.stats_json.is_some());
     if let Some(b) = o.budget_bytes {
         cfg = cfg.with_memory_budget(b);
@@ -214,30 +158,30 @@ fn serve_config(o: &Opts, total_requests: usize) -> ServeConfig {
     cfg
 }
 
-/// One measured pass through a threaded `ShardRouter` with `n_shards`
-/// shards. Returns the scaling-curve row plus the final stats/telemetry.
-fn run_sharded(
+/// One measured pass through a threaded [`TgServer`]: every client thread
+/// submits its stream closed-loop (one request in flight per client).
+/// Returns request latencies in µs (sorted), the wall time in seconds, and
+/// the final stats/telemetry.
+fn run_served(
     o: &Opts,
     bundle: &Arc<ModelBundle>,
     streams: &[Vec<(NodeId, Time)>],
-    n_shards: usize,
-) -> (ScalingRow, tg_serve::ServeStats, tg_telemetry::TelemetrySnapshot) {
+) -> (Vec<f64>, f64, tg_serve::ServeStats, tg_telemetry::TelemetrySnapshot) {
     let total_requests: usize = streams.iter().map(Vec::len).sum();
-    let assignment = assignment_for(o, &bundle.graph, n_shards);
-    let router = ShardRouter::threaded(Arc::clone(bundle), serve_config(o, total_requests), assignment)
-        .unwrap_or_else(|e| fail("router start", e));
+    let server = TgServer::threaded(Arc::clone(bundle), serve_config(o, total_requests))
+        .unwrap_or_else(|e| fail("server start", e));
 
     let start = Instant::now();
     let mut latencies_us: Vec<f64> = std::thread::scope(|scope| {
         let handles: Vec<_> = streams
             .iter()
             .map(|stream| {
-                let router = &router;
+                let server = &server;
                 scope.spawn(move || {
                     let mut lat = Vec::with_capacity(stream.len());
                     for &(n, t) in stream {
                         let submitted = Instant::now();
-                        match router.submit(n, t) {
+                        match server.submit(n, t) {
                             Ok(ticket) => {
                                 let _ = ticket.wait().unwrap_or_else(|e| fail("serve embed", e));
                                 lat.push(submitted.elapsed().as_secs_f64() * 1e6);
@@ -255,52 +199,31 @@ fn run_sharded(
             .collect()
     });
     let seconds = start.elapsed().as_secs_f64();
-
-    // Ownership balance: the busiest shard's share of all submissions
-    // (1/S is perfect, 1.0 is a single hot shard).
-    let per_shard = router.shard_stats();
-    let submitted_total: u64 = per_shard.iter().map(|s| s.submitted).sum();
-    let max_shard_share = per_shard
-        .iter()
-        .map(|s| s.submitted as f64 / submitted_total.max(1) as f64)
-        .fold(0.0, f64::max);
-
-    let (stats, telemetry) = router.shutdown_with_telemetry();
+    let (stats, telemetry) = server.shutdown_with_telemetry();
     latencies_us.sort_by(|a, b| a.total_cmp(b));
-    let row = ScalingRow {
-        shards: n_shards as u64,
-        req_per_s: total_requests as f64 / seconds,
-        speedup: 0.0, // filled by the caller against the first row
-        p50_us: percentile(&latencies_us, 50.0),
-        p95_us: percentile(&latencies_us, 95.0),
-        p99_us: percentile(&latencies_us, 99.0),
-        frontier_remote_ratio: stats.remote_frontier_ratio(),
-        max_shard_share,
-    };
-    (row, stats, telemetry)
+    (latencies_us, seconds, stats, telemetry)
 }
 
-/// `--verify`: the deterministic sharded router must serve every query
+/// `--verify`: the deterministic server must serve every query
 /// identically (≤ 1e-5) to one direct engine over the same stream.
 fn run_verify(o: &Opts, bundle: &Arc<ModelBundle>, streams: &[Vec<(NodeId, Time)>]) {
     let queries: Vec<(NodeId, Time)> = streams.iter().flatten().copied().collect();
     let cfg = ServeConfig::default()
         .with_max_batch(o.max_batch)
         .with_queue_capacity(queries.len() + 1);
-    let assignment = assignment_for(o, &bundle.graph, o.shards);
-    let router = ShardRouter::deterministic(Arc::clone(bundle), cfg, assignment)
-        .unwrap_or_else(|e| fail("router start", e));
+    let server = TgServer::deterministic(Arc::clone(bundle), cfg)
+        .unwrap_or_else(|e| fail("server start", e));
 
     let mut tickets = Vec::with_capacity(queries.len());
     for (i, &(n, t)) in queries.iter().enumerate() {
-        tickets.push(router.submit(n, t).unwrap_or_else(|e| fail("submission", e)));
-        // Drain at a stride co-prime with common batch sizes so waves cut
-        // across shard queues at varying fill levels.
+        tickets.push(server.submit(n, t).unwrap_or_else(|e| fail("submission", e)));
+        // Drain at a stride co-prime with common batch sizes so the last
+        // wave of each drain is cut at varying fill levels.
         if i % 97 == 96 {
-            router.drain().unwrap_or_else(|e| fail("drain", e));
+            server.drain().unwrap_or_else(|e| fail("drain", e));
         }
     }
-    router.drain().unwrap_or_else(|e| fail("drain", e));
+    server.drain().unwrap_or_else(|e| fail("drain", e));
 
     let ns: Vec<NodeId> = queries.iter().map(|&(n, _)| n).collect();
     let ts: Vec<Time> = queries.iter().map(|&(_, t)| t).collect();
@@ -318,13 +241,13 @@ fn run_verify(o: &Opts, bundle: &Arc<ModelBundle>, streams: &[Vec<(NodeId, Time)
         max_diff = max_diff.max(diff);
         if diff >= 1e-5 {
             eprintln!(
-                "verify: FAIL at row {i} (node {}, t {}): sharded row deviates by {diff}",
+                "verify: FAIL at row {i} (node {}, t {}): served row deviates by {diff}",
                 ns[i], ts[i]
             );
             std::process::exit(1);
         }
     }
-    let stats = router.shutdown();
+    let stats = server.shutdown();
     if stats.completed != queries.len() as u64 {
         eprintln!(
             "verify: FAIL: {} completed of {} submitted",
@@ -334,43 +257,9 @@ fn run_verify(o: &Opts, bundle: &Arc<ModelBundle>, streams: &[Vec<(NodeId, Time)
         std::process::exit(1);
     }
     println!(
-        "verify: PASS — {} queries over {} shards ({}) match a direct engine; max |Δ| = {max_diff:.2e}",
+        "verify: PASS — {} served queries match a direct engine; max |Δ| = {max_diff:.2e}",
         queries.len(),
-        o.shards,
-        o.strategy,
     );
-}
-
-#[derive(Serialize)]
-struct ScalingRow {
-    shards: u64,
-    req_per_s: f64,
-    speedup: f64,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-    frontier_remote_ratio: f64,
-    max_shard_share: f64,
-}
-
-#[derive(Serialize)]
-struct ScalingReport {
-    bench: String,
-    schema_version: u64,
-    dataset: String,
-    scale: f64,
-    nodes: u64,
-    edges: u64,
-    host_cpus: u64,
-    allocator: String,
-    pin_cores: bool,
-    strategy: String,
-    clients: u64,
-    workers_per_shard: u64,
-    requests: u64,
-    direct_req_per_s: f64,
-    note: String,
-    rows: Vec<ScalingRow>,
 }
 
 fn main() {
@@ -410,7 +299,7 @@ fn main() {
 
     println!(
         "dataset {} (scale {}): {} nodes, {} edges; {} clients x {} requests, \
-         batch {} linger {}us workers {} shards {} ({}); allocator {}{}",
+         batch {} linger {}us workers {}",
         o.dataset,
         o.scale,
         data.stream.num_nodes(),
@@ -420,10 +309,6 @@ fn main() {
         o.max_batch,
         o.linger_us,
         o.workers,
-        o.shards,
-        o.strategy,
-        allocator_name(),
-        if o.pin_cores { ", pinned cores" } else { "" }
     );
 
     if o.verify {
@@ -450,84 +335,27 @@ fn main() {
         direct_req_per_s, total_requests, direct_seconds
     );
 
-    // ---- Served path: 1,2,4,...,S shards (or just S without --scaling). ----
-    let shard_counts: Vec<usize> = if o.scaling {
-        let mut v = Vec::new();
-        let mut s = 1;
-        while s < o.shards {
-            v.push(s);
-            s *= 2;
-        }
-        v.push(o.shards);
-        v
-    } else {
-        vec![o.shards]
-    };
-
-    let mut rows: Vec<ScalingRow> = Vec::new();
-    let mut last: Option<(tg_serve::ServeStats, tg_telemetry::TelemetrySnapshot)> = None;
-    for &s in &shard_counts {
-        let (mut row, stats, telemetry) = run_sharded(&o, &bundle, &streams, s);
-        row.speedup = row.req_per_s / rows.first().map_or(row.req_per_s, |r: &ScalingRow| r.req_per_s);
-        println!(
-            "shards {:>2} : {:>9.1} req/s  speedup {:>5.2}x  p50 {:>8.1}us  p95 {:>8.1}us  \
-             p99 {:>8.1}us  remote-frontier {:>5.1}%  max-shard-share {:.2}",
-            row.shards,
-            row.req_per_s,
-            row.speedup,
-            row.p50_us,
-            row.p95_us,
-            row.p99_us,
-            100.0 * row.frontier_remote_ratio,
-            row.max_shard_share
-        );
-        rows.push(row);
-        last = Some((stats, telemetry));
-    }
-
-    if let Some((stats, telemetry)) = last {
-        println!(
-            "batching  : {} batches, mean size {:.1}, cross-request dedup ratio {:.1}%",
-            stats.batches,
-            stats.mean_batch_size(),
-            100.0 * stats.cross_dedup_ratio()
-        );
-        println!(
-            "admission : {} submitted, {} overloaded, {} deadline-expired, {} degraded batches",
-            stats.submitted, stats.rejected_overload, stats.rejected_deadline, stats.degraded_batches
-        );
-        if let Some(path) = &o.stats_json {
-            let text = serde_json::to_string(&telemetry).unwrap_or_else(|e| fail("telemetry snapshot serialization", e));
-            if let Err(e) = std::fs::write(path, tg_bench::table::pretty_json(&text) + "\n") {
-                eprintln!("error: failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote {path}");
-        }
-    }
-
-    if let Some(path) = &o.json {
-        let report = ScalingReport {
-            bench: "serve-scaling".to_string(),
-            schema_version: 1,
-            dataset: o.dataset.clone(),
-            scale: o.scale,
-            nodes: data.stream.num_nodes() as u64,
-            edges: data.stream.len() as u64,
-            host_cpus: std::thread::available_parallelism().map_or(1, usize::from) as u64,
-            allocator: allocator_name().to_string(),
-            pin_cores: o.pin_cores,
-            strategy: o.strategy.clone(),
-            clients: o.clients as u64,
-            workers_per_shard: o.workers as u64,
-            requests: total_requests as u64,
-            direct_req_per_s,
-            note: "shards beyond host_cpus cannot scale; see EXPERIMENTS.md for the \
-                   multi-core regeneration protocol"
-                .to_string(),
-            rows,
-        };
-        let text = serde_json::to_string(&report).unwrap_or_else(|e| fail("report serialization", e));
+    // ---- Served path: one threaded server. ----
+    let (latencies_us, seconds, stats, telemetry) = run_served(&o, &bundle, &streams);
+    println!(
+        "served    : {:>9.1} req/s  p50 {:>8.1}us  p95 {:>8.1}us  p99 {:>8.1}us",
+        total_requests as f64 / seconds,
+        percentile(&latencies_us, 50.0),
+        percentile(&latencies_us, 95.0),
+        percentile(&latencies_us, 99.0),
+    );
+    println!(
+        "batching  : {} batches, mean size {:.1}, cross-request dedup ratio {:.1}%",
+        stats.batches,
+        stats.mean_batch_size(),
+        100.0 * stats.cross_dedup_ratio()
+    );
+    println!(
+        "admission : {} submitted, {} overloaded, {} deadline-expired, {} degraded batches",
+        stats.submitted, stats.rejected_overload, stats.rejected_deadline, stats.degraded_batches
+    );
+    if let Some(path) = &o.stats_json {
+        let text = serde_json::to_string(&telemetry).unwrap_or_else(|e| fail("telemetry snapshot serialization", e));
         if let Err(e) = std::fs::write(path, tg_bench::table::pretty_json(&text) + "\n") {
             eprintln!("error: failed to write {path}: {e}");
             std::process::exit(1);

@@ -1,13 +1,18 @@
 //! Mixed-workload streaming benchmark: query throughput while the graph
 //! mutates, versus the same query load on a frozen graph.
 //!
-//! The generated edge stream is split at `--base-frac`: the prefix builds
-//! the server's base graph, the suffix is ingested live through
-//! `TgServer::submit_edge` during the run. Each `--ratios` entry runs the
-//! same client query load with that fraction of operations replaced by
-//! edge inserts, reporting throughput, latency percentiles, engine cache
-//! hit rate, and the targeted-invalidation precision (entries retained vs
-//! dropped). Ratio 0.0 is the frozen-graph baseline (live ingest off).
+//! The generated edge stream is split into a frozen base and a live
+//! suffix that is ingested through `TgServer::submit_edge` during the run.
+//! Each `--ratios` entry runs `--clients` × `--ops` operations of which
+//! exactly `floor(ops * ratio)` per client are edge inserts, spread evenly
+//! through the client's sequence; the rest are queries. The suffix is
+//! sized to the largest ratio's insert count, so every planned insert has
+//! an edge to ingest, and running out of suffix edges is a hard error
+//! rather than a silent switch to a query. Each row reports the achieved
+//! insert share beside the requested one, throughput, latency
+//! percentiles, engine cache hit rate, and the targeted-invalidation
+//! precision (entries retained vs dropped). Ratio 0.0 is the frozen-graph
+//! baseline (live ingest off).
 //!
 //! ```sh
 //! cargo run --release -p tg-bench --bin streaming -- -d snap-msg --ratios 0,0.05,0.2
@@ -45,7 +50,6 @@ struct Opts {
     workers: usize,
     hot: usize,
     hot_prob: f64,
-    base_frac: f64,
     ratios: Vec<f64>,
     compact_threshold: usize,
     verify: bool,
@@ -56,7 +60,7 @@ impl Default for Opts {
     fn default() -> Self {
         Self {
             dataset: "snap-msg".to_string(),
-            scale: 0.02,
+            scale: 0.05,
             seed: 7,
             dim: 32,
             clients: 4,
@@ -66,7 +70,6 @@ impl Default for Opts {
             workers: 2,
             hot: 16,
             hot_prob: 0.6,
-            base_frac: 0.8,
             ratios: vec![0.0, 0.05, 0.1, 0.2],
             compact_threshold: 96,
             verify: false,
@@ -78,17 +81,18 @@ impl Default for Opts {
 const USAGE: &str = "\
 Usage: streaming [-d NAME] [--scale F] [--seed N] [--dim N] [--clients N]
                  [--ops N] [--batch N] [--linger-us N] [--workers N]
-                 [--hot N] [--hot-prob F] [--base-frac F] [--ratios LIST]
+                 [--hot N] [--hot-prob F] [--ratios LIST]
                  [--compact-threshold N] [--verify] [--json PATH]
 
-Benchmarks tg-serve under a mixed insert/query workload. The edge stream
-splits at --base-frac into a frozen base and a live suffix; each --ratios
-entry (comma-separated insert fractions, e.g. 0,0.05,0.2) runs the client
-load with that share of operations ingesting suffix edges. Reports
-throughput, latency percentiles, engine cache hit rate, and targeted
-invalidation precision. --verify replays the full suffix and checks
-served embeddings against a cold rebuild (exit 1 on mismatch); --json
-writes the per-ratio report.";
+Benchmarks tg-serve under a mixed insert/query workload. Each --ratios
+entry (comma-separated insert fractions in [0, 1], e.g. 0,0.05,0.2) runs
+the client load with exactly that share of operations ingesting edges
+from a live suffix of the stream; the suffix holds the largest ratio's
+inserts and the rest of the stream is the frozen base. Reports the
+achieved insert share, throughput, latency percentiles, engine cache hit
+rate, and targeted invalidation precision. --verify replays the full
+suffix and checks served embeddings against a cold rebuild (exit 1 on
+mismatch); --json writes the per-ratio report.";
 
 fn parse() -> Opts {
     let mut o = Opts::default();
@@ -112,7 +116,6 @@ fn parse() -> Opts {
             "--workers" => o.workers = num::<f64>(&take("--workers")) as usize,
             "--hot" => o.hot = num::<f64>(&take("--hot")) as usize,
             "--hot-prob" => o.hot_prob = num(&take("--hot-prob")),
-            "--base-frac" => o.base_frac = num(&take("--base-frac")),
             "--ratios" => {
                 o.ratios = take("--ratios").split(',').map(num).collect();
             }
@@ -131,7 +134,23 @@ fn parse() -> Opts {
             }
         }
     }
+    if let Some(r) = o.ratios.iter().find(|r| !(0.0..=1.0).contains(*r)) {
+        eprintln!("error: --ratios entries must lie in [0, 1], got {r}");
+        std::process::exit(2);
+    }
     o
+}
+
+/// Whether operation `j` of a client's sequence is an insert at `ratio`:
+/// exactly `floor(ops * ratio)` of the first `ops` operations are, spaced
+/// evenly (the running count `floor(j * ratio)` steps up at each one).
+fn is_insert(j: usize, ratio: f64) -> bool {
+    ((j + 1) as f64 * ratio).floor() > (j as f64 * ratio).floor()
+}
+
+/// Inserts one client performs over `ops` operations at `ratio`.
+fn inserts_per_client(ops: usize, ratio: f64) -> usize {
+    (0..ops).filter(|&j| is_insert(j, ratio)).count()
 }
 
 fn num<T: std::str::FromStr>(s: &str) -> T {
@@ -152,6 +171,8 @@ fn fail(what: &str, err: impl std::fmt::Display) -> ! {
 #[derive(serde::Serialize)]
 struct RunReport {
     insert_ratio: f64,
+    /// `inserts / (queries + inserts)`: the write share the run really had.
+    achieved_insert_ratio: f64,
     queries: u64,
     inserts: u64,
     ops_per_s: f64,
@@ -174,6 +195,12 @@ struct RunReport {
 #[derive(serde::Serialize)]
 struct Report {
     bench: String,
+    /// Logical CPUs of the measuring host.
+    host_cpus: usize,
+    /// `git describe --always --dirty` of the measured tree.
+    git_rev: String,
+    /// `rustc --version` on the measuring host.
+    rustc: String,
     dataset: String,
     scale: f64,
     seed: u64,
@@ -181,7 +208,6 @@ struct Report {
     live_edges: usize,
     clients: usize,
     ops_per_client: usize,
-    base_frac: f64,
     runs: Vec<RunReport>,
     verify: Option<VerifyReport>,
 }
@@ -192,6 +218,18 @@ struct VerifyReport {
     checked_rows: usize,
     max_abs_diff: f64,
     tolerance: f64,
+}
+
+/// First line of `cmd args...`'s stdout, or `"unknown"` if it cannot run
+/// (no git checkout, no toolchain on `PATH`).
+fn tool_output(cmd: &str, args: &[&str]) -> String {
+    std::process::Command::new(cmd)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Runs one mixed workload against a fresh server; returns the report row.
@@ -231,18 +269,20 @@ fn run_ratio(
                     let mut rng = StdRng::seed_from_u64(o.seed ^ (0x5eed + c as u64));
                     let mut lat = Vec::with_capacity(o.ops_per_client);
                     let (mut queries, mut inserts) = (0u64, 0u64);
-                    for _ in 0..o.ops_per_client {
-                        let do_insert = live && rng.gen_bool(ratio.clamp(0.0, 1.0));
-                        if do_insert {
+                    for j in 0..o.ops_per_client {
+                        if live && is_insert(j, ratio) {
                             let i = next_edge.fetch_add(1, Ordering::Relaxed);
-                            if let Some(e) = tail.get(i) {
-                                server
-                                    .submit_edge(e.src, e.dst, e.time)
-                                    .unwrap_or_else(|err| fail("submit_edge", err));
-                                inserts += 1;
-                                continue;
-                            }
-                            // Suffix exhausted: fall through to a query.
+                            let Some(e) = tail.get(i) else {
+                                fail(
+                                    "submit_edge",
+                                    format!("live suffix exhausted: insert {} of {}", i + 1, tail.len()),
+                                );
+                            };
+                            server
+                                .submit_edge(e.src, e.dst, e.time)
+                                .unwrap_or_else(|err| fail("submit_edge", err));
+                            inserts += 1;
+                            continue;
                         }
                         let (n, t) = if rng.gen_bool(o.hot_prob.clamp(0.0, 1.0)) && !hot.is_empty()
                         {
@@ -288,6 +328,7 @@ fn run_ratio(
     };
     RunReport {
         insert_ratio: ratio,
+        achieved_insert_ratio: inserts as f64 / (queries + inserts).max(1) as f64,
         queries,
         inserts,
         ops_per_s: (queries + inserts) as f64 / elapsed.max(1e-12),
@@ -393,8 +434,27 @@ fn main() {
     let params = TgatParams::init(cfg, o.seed).unwrap_or_else(|e| fail("param init", e));
 
     let edges = data.stream.edges();
-    let n_base = ((edges.len() as f64) * o.base_frac.clamp(0.0, 1.0)) as usize;
-    let (base_edges, tail) = edges.split_at(n_base.min(edges.len()));
+    // The live suffix holds exactly the largest ratio's inserts; every
+    // ratio runs on the same base so the rows differ only in write share.
+    let n_live = o
+        .ratios
+        .iter()
+        .map(|&r| o.clients * inserts_per_client(o.ops_per_client, r))
+        .max()
+        .unwrap_or(0);
+    if n_live >= edges.len() {
+        fail(
+            "live suffix",
+            format!(
+                "the ratios need {n_live} live edges but the stream has {}; raise --scale or lower --ops",
+                edges.len()
+            ),
+        );
+    }
+    if o.verify && n_live == 0 {
+        fail("verify", "no live suffix to ingest; --ratios needs a nonzero entry");
+    }
+    let (base_edges, tail) = edges.split_at(edges.len() - n_live);
     let mut base = TemporalGraph::with_nodes(data.stream.num_nodes());
     for e in base_edges {
         base.insert(e);
@@ -443,9 +503,10 @@ fn main() {
             .filter(|l| l.layer >= 2)
             .fold((0u64, 0u64), |(rm, rt), l| (rm + l.removed, rt + l.retained));
         println!(
-            "ratio {:>5.2}: {:>9.1} ops/s  ({} queries, {} inserts)  p50 {:>7.1}us p99 {:>8.1}us  \
+            "ratio {:>5.2} (achieved {:.3}): {:>9.1} ops/s  ({} queries, {} inserts)  p50 {:>7.1}us p99 {:>8.1}us  \
              hit {:>5.1}%  inval {} retained {} (deep {}/{})  compactions {}",
             r.insert_ratio,
+            r.achieved_insert_ratio,
             r.ops_per_s,
             r.queries,
             r.inserts,
@@ -479,6 +540,9 @@ fn main() {
     if let Some(path) = &o.json {
         let report = Report {
             bench: "streaming".to_string(),
+            host_cpus: std::thread::available_parallelism().map_or(1, usize::from),
+            git_rev: tool_output("git", &["describe", "--always", "--dirty"]),
+            rustc: tool_output("rustc", &["--version"]),
             dataset: o.dataset.clone(),
             scale: o.scale,
             seed: o.seed,
@@ -486,7 +550,6 @@ fn main() {
             live_edges: tail.len(),
             clients: o.clients,
             ops_per_client: o.ops_per_client,
-            base_frac: o.base_frac,
             runs,
             verify: verify_report,
         };

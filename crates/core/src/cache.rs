@@ -2,14 +2,12 @@
 //!
 //! A sharded concurrent hash table maps the collision-free `(node, time)`
 //! key to a cached embedding row. Capacity is bounded by an item limit
-//! (paper default 2M ≈ <1 GiB at 100 dims) with FIFO eviction. Lookups can
-//! be parallelized across keys (the paper parallelizes `CacheLookup` on both
-//! machines and `CacheStore` only on the GPU host, §5.1.3 — both are
-//! configurable here).
+//! (paper default 2M ≈ <1 GiB at 100 dims) with FIFO eviction. Lookups
+//! and stores walk their keys on the calling thread; concurrent callers
+//! (serving workers) contend only on the per-shard locks.
 
 use crate::hash::unpack_key;
 use parking_lot::{Mutex, RwLock};
-use rayon::prelude::*;
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -27,10 +25,10 @@ const NUM_SHARDS: usize = 16;
 ///
 /// let cache = EmbedCache::new(1000, 2);
 /// let keys = [pack_key(7, 3.0)];
-/// cache.store(&keys, &Tensor::from_vec(1, 2, vec![0.5, -0.5]), false).unwrap();
+/// cache.store(&keys, &Tensor::from_vec(1, 2, vec![0.5, -0.5])).unwrap();
 ///
 /// let mut out = Tensor::zeros(2, 2);
-/// let hits = cache.lookup(&[pack_key(7, 3.0), pack_key(8, 3.0)], &mut out, false).unwrap();
+/// let hits = cache.lookup(&[pack_key(7, 3.0), pack_key(8, 3.0)], &mut out).unwrap();
 /// assert_eq!(hits, vec![true, false]);
 /// assert_eq!(out.row(0), &[0.5, -0.5]);
 /// ```
@@ -38,6 +36,11 @@ pub struct EmbedCache {
     shards: Vec<RwLock<FxHashMap<u64, Entry>>>,
     /// Insertion order across all shards, for FIFO eviction.
     fifo: Mutex<FifoState>,
+    /// Live entries. A store counts its fresh keys only when it queues
+    /// them, under the FIFO lock, after publishing them in a shard; an
+    /// invalidation that removes a published-but-uncounted key decrements
+    /// first, so the raw value can wrap below zero for that instant.
+    /// [`EmbedCache::len`] reads a wrapped value as 0.
     count: AtomicUsize,
     limit: usize,
     dim: usize,
@@ -167,8 +170,7 @@ impl EmbedCache {
     /// - `out` retains its previous contents in every row whose key missed.
     /// - The hit/lookup counters grow by exactly `keys.len()` attempted and
     ///   `mask.count_ones()` hit; no map or FIFO state changes.
-    /// - Sequential and parallel modes produce identical masks and rows.
-    pub fn lookup(&self, keys: &[u64], out: &mut Tensor, parallel: bool) -> Result<Vec<bool>, TgError> { // alloc-ok: the hit mask is the return value; embedding rows land in the caller's scratch tensor
+    pub fn lookup(&self, keys: &[u64], out: &mut Tensor) -> Result<Vec<bool>, TgError> { // alloc-ok: the hit mask is the return value; embedding rows land in the caller's scratch tensor
         if out.shape() != (keys.len(), self.dim) {
             return Err(TgError::shape(
                 "EmbedCache::lookup output",
@@ -179,24 +181,11 @@ impl EmbedCache {
         self.lookups.fetch_add(keys.len() as u64, Ordering::Relaxed);
         let dim = self.dim;
         let mut mask = vec![false; keys.len()];
-        let fetch = |key: u64, row: &mut [f32], hit: &mut bool| {
+        for ((row, hit), &key) in out.as_mut_slice().chunks_mut(dim).zip(mask.iter_mut()).zip(keys) {
             let shard = self.shards[shard_of(key)].read();
             if let Some(v) = shard.get(&key) {
                 row.copy_from_slice(&v.row);
                 *hit = true;
-            }
-        };
-        if parallel && keys.len() >= 256 {
-            out.as_mut_slice()
-                .par_chunks_mut(dim)
-                .zip(mask.par_iter_mut())
-                .zip(keys.par_iter())
-                .for_each(|((row, hit), &key)| fetch(key, row, hit));
-        } else {
-            for ((row, hit), &key) in
-                out.as_mut_slice().chunks_mut(dim).zip(mask.iter_mut()).zip(keys)
-            {
-                fetch(key, row, hit);
             }
         }
         let n_hits = mask.iter().filter(|&&h| h).count() as u64;
@@ -210,8 +199,9 @@ impl EmbedCache {
     ///
     /// # Invariants
     ///
-    /// - `len() <= limit()` holds on return, even under concurrent stores
-    ///   (a corrective eviction runs after the FIFO append).
+    /// - `len() <= limit()` holds at every instant, even under concurrent
+    ///   stores (a corrective eviction runs after the FIFO append and
+    ///   before the new keys are counted).
     /// - Re-storing an existing key overwrites in place without growing the
     ///   FIFO, so `len()` only counts distinct live keys.
     /// - Every key newly inserted by this call is appended to the FIFO
@@ -221,8 +211,8 @@ impl EmbedCache {
     /// - The `stores` counter grows by the number of *admitted* rows only;
     ///   rows dropped because this one call exceeds the whole limit are
     ///   counted in [`EmbedCache::total_store_dropped`] instead.
-    pub fn store(&self, keys: &[u64], h: &Tensor, parallel: bool) -> Result<(), TgError> {
-        self.store_impl(keys, h, None, parallel)
+    pub fn store(&self, keys: &[u64], h: &Tensor) -> Result<(), TgError> {
+        self.store_impl(keys, h, None)
     }
 
     /// Like [`EmbedCache::store`] but records `constraints[i]` — the
@@ -241,7 +231,6 @@ impl EmbedCache {
         keys: &[u64],
         h: &Tensor,
         constraints: Vec<Box<[u64]>>,
-        parallel: bool,
     ) -> Result<(), TgError> {
         if constraints.len() != keys.len() {
             return Err(TgError::shape(
@@ -250,7 +239,7 @@ impl EmbedCache {
                 format_args!("{}", constraints.len()),
             ));
         }
-        self.store_impl(keys, h, Some(constraints), parallel)
+        self.store_impl(keys, h, Some(constraints))
     }
 
     fn store_impl( // alloc-ok: cache admission must copy the rows it will own; the fresh-key list is bounded by the batch
@@ -258,7 +247,6 @@ impl EmbedCache {
         keys: &[u64],
         h: &Tensor,
         mut constraints: Option<Vec<Box<[u64]>>>,
-        parallel: bool,
     ) -> Result<(), TgError> {
         if h.shape() != (keys.len(), self.dim) {
             return Err(TgError::shape(
@@ -285,42 +273,27 @@ impl EmbedCache {
                 .filter(|&&k| seen.insert(k) && !self.contains(k))
                 .count()
         };
-        let cur = self.count.load(Ordering::Relaxed);
+        let cur = self.len();
         if cur + fresh_count > self.limit {
             self.evict((cur + fresh_count).saturating_sub(self.limit));
         }
 
-        let insert_one = |key: u64, row: &[f32], constraint: Box<[u64]>| -> bool {
-            let mut shard = self.shards[shard_of(key)].write();
-            shard.insert(key, Entry { row: row.into(), constraint }).is_none()
-        };
-        // Constrained stores stay sequential so each fingerprint moves by
-        // value; deep-layer miss batches are small (the parallel threshold
-        // below would rarely trigger anyway).
-        if parallel && constraints.is_none() && incoming >= 256 {
-            let fresh: Vec<u64> = keys[skip..]
-                .par_iter()
-                .zip(h.as_slice()[skip * self.dim..].par_chunks(self.dim))
-                .filter_map(|(&key, row)| insert_one(key, row, Box::default()).then_some(key))
-                .collect();
-            self.finish_store(fresh, incoming);
-        } else {
-            let mut fresh = Vec::with_capacity(incoming);
-            for (j, (&key, row)) in keys[skip..]
-                .iter()
-                .zip(h.as_slice()[skip * self.dim..].chunks(self.dim))
-                .enumerate()
-            {
-                let constraint = match constraints.as_mut() {
-                    Some(v) => std::mem::take(&mut v[skip + j]),
-                    None => Box::default(),
-                };
-                if insert_one(key, row, constraint) {
-                    fresh.push(key);
-                }
+        let mut fresh = Vec::with_capacity(incoming);
+        for (j, (&key, row)) in keys[skip..]
+            .iter()
+            .zip(h.as_slice()[skip * self.dim..].chunks(self.dim))
+            .enumerate()
+        {
+            let constraint = match constraints.as_mut() {
+                Some(v) => std::mem::take(&mut v[skip + j]),
+                None => Box::default(),
+            };
+            let entry = Entry { row: row.into(), constraint };
+            if self.shards[shard_of(key)].write().insert(key, entry).is_none() {
+                fresh.push(key);
             }
-            self.finish_store(fresh, incoming);
         }
+        self.finish_store(fresh, incoming);
         Ok(())
     }
 
@@ -335,23 +308,28 @@ impl EmbedCache {
             return;
         }
         self.inserted.fetch_add(fresh.len() as u64, Ordering::Relaxed);
-        self.count.fetch_add(fresh.len(), Ordering::Relaxed);
-        {
-            let mut fifo = self.fifo.lock();
-            for &key in &fresh {
-                fifo.push(key); // alloc-ok: FIFO admission grows the queue and slot map by the fresh keys just inserted — bounded by the batch
-            }
+        // Queueing, the corrective eviction and counting share one FIFO
+        // critical section. Every store counts its keys here, so no peer
+        // raises the count meanwhile (invalidations only lower it), and
+        // evicting *before* counting keeps `len() <= limit()` at every
+        // instant. The eviction never reaches this call's keys: each
+        // counted key is queued ahead of them, so at least `len()` older
+        // live entries exist, and `fresh.len()` never exceeds the limit.
+        let mut fifo = self.fifo.lock();
+        for &key in &fresh {
+            fifo.push(key); // alloc-ok: FIFO admission grows the queue and slot map by the fresh keys just inserted — bounded by the batch
         }
         // Concurrent stores may each have passed the pre-insert capacity
-        // check; a corrective eviction keeps the limit a hard bound.
-        let over = self.count.load(Ordering::Relaxed).saturating_sub(self.limit);
+        // check; this eviction keeps the limit a hard bound.
+        let over = (self.len() + fresh.len()).saturating_sub(self.limit);
         if over > 0 {
-            self.evict(over);
+            self.evict_locked(&mut fifo, over);
         }
+        self.count.fetch_add(fresh.len(), Ordering::Relaxed);
         debug_assert!(
-            self.count.load(Ordering::Relaxed) <= self.limit,
+            self.len() <= self.limit,
             "cache count {} exceeds limit {} after corrective eviction",
-            self.count.load(Ordering::Relaxed),
+            self.len(),
             self.limit
         );
     }
@@ -390,6 +368,11 @@ impl EmbedCache {
     /// Removes the `n` oldest entries.
     fn evict(&self, n: usize) {
         let mut fifo = self.fifo.lock();
+        self.evict_locked(&mut fifo, n);
+    }
+
+    /// [`EmbedCache::evict`] under an already-held FIFO lock.
+    fn evict_locked(&self, fifo: &mut FifoState, n: usize) {
         let mut removed = 0usize;
         // Stale FIFO entries (already invalidated) don't free capacity, so
         // keep popping until n live entries are gone.
@@ -577,7 +560,8 @@ impl EmbedCache {
     /// # Invariants
     ///
     /// - All shards, the FIFO queue, and the live count reset together, so
-    ///   `len() == 0` and `bytes_used() == 0` on return.
+    ///   `len() == 0` and `bytes_used() == 0` on return when no store is
+    ///   in flight (a concurrent store's keys count once it queues them).
     /// - Lifetime counters (lookups/hits/stores/evictions) are preserved;
     ///   the dropped entries count as invalidated, keeping the
     ///   `inserted == evictions + invalidated + len()` identity intact.
@@ -593,15 +577,21 @@ impl EmbedCache {
             fifo.queue.clear();
             fifo.slots.clear();
         }
-        self.count.store(0, Ordering::Relaxed);
-        if removed > 0 {
-            self.invalidated.fetch_add(removed as u64, Ordering::Relaxed);
-        }
+        // Subtract rather than zero: a store in flight counts its keys
+        // after this returns, and the removal must cancel exactly that.
+        self.finish_invalidate(removed);
     }
 
     /// Current number of cached embeddings.
     pub fn len(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
+        let n = self.count.load(Ordering::Relaxed);
+        // A wrapped value is an invalidation that ran ahead of a store's
+        // count (see the `count` field); the true count is then 0.
+        if n > usize::MAX / 2 {
+            0
+        } else {
+            n
+        }
     }
 
     /// True if nothing is cached.
@@ -826,10 +816,10 @@ mod tests {
     fn store_then_lookup_roundtrip() {
         let cache = EmbedCache::new(10, 3);
         let keys = [pack_key(1, 1.0), pack_key(2, 1.0)];
-        cache.store(&keys, &row_tensor(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]), false).unwrap();
+        cache.store(&keys, &row_tensor(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]])).unwrap();
         let mut out = Tensor::zeros(3, 3);
         let mask =
-            cache.lookup(&[keys[1], pack_key(9, 9.0), keys[0]], &mut out, false).unwrap();
+            cache.lookup(&[keys[1], pack_key(9, 9.0), keys[0]], &mut out).unwrap();
         assert_eq!(mask, vec![true, false, true]);
         assert_eq!(out.row(0), &[4.0, 5.0, 6.0]);
         assert_eq!(out.row(1), &[0.0, 0.0, 0.0]);
@@ -847,9 +837,9 @@ mod tests {
         let cache = EmbedCache::new(10, 3);
         let keys = [pack_key(1, 1.0)];
         let mut narrow = Tensor::zeros(1, 2);
-        let err = cache.lookup(&keys, &mut narrow, false).unwrap_err();
+        let err = cache.lookup(&keys, &mut narrow).unwrap_err();
         assert!(matches!(err, TgError::ShapeMismatch { ref context, .. } if context.contains("lookup")));
-        let err = cache.store(&keys, &Tensor::zeros(2, 3), false).unwrap_err();
+        let err = cache.store(&keys, &Tensor::zeros(2, 3)).unwrap_err();
         assert!(matches!(err, TgError::ShapeMismatch { ref context, .. } if context.contains("store")));
     }
 
@@ -857,13 +847,13 @@ mod tests {
     fn fifo_eviction_keeps_newest() {
         let cache = EmbedCache::new(3, 1);
         for i in 0..5u32 {
-            cache.store(&[pack_key(i, 0.0)], &Tensor::from_vec(1, 1, vec![i as f32]), false).unwrap();
+            cache.store(&[pack_key(i, 0.0)], &Tensor::from_vec(1, 1, vec![i as f32])).unwrap();
         }
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.total_evictions(), 2);
         let mut out = Tensor::zeros(5, 1);
         let keys: Vec<u64> = (0..5u32).map(|i| pack_key(i, 0.0)).collect();
-        let mask = cache.lookup(&keys, &mut out, false).unwrap();
+        let mask = cache.lookup(&keys, &mut out).unwrap();
         assert_eq!(mask, vec![false, false, true, true, true]);
     }
 
@@ -873,7 +863,7 @@ mod tests {
         for batch in 0..20u32 {
             let keys: Vec<u64> = (0..5u32).map(|i| pack_key(batch * 5 + i, 0.0)).collect();
             let h = Tensor::zeros(5, 2);
-            cache.store(&keys, &h, false).unwrap();
+            cache.store(&keys, &h).unwrap();
             assert!(cache.len() <= 7, "len {} exceeds limit", cache.len());
         }
     }
@@ -883,10 +873,10 @@ mod tests {
         let cache = EmbedCache::new(2, 1);
         let keys: Vec<u64> = (0..4u32).map(|i| pack_key(i, 0.0)).collect();
         let h = Tensor::from_vec(4, 1, vec![0.0, 1.0, 2.0, 3.0]);
-        cache.store(&keys, &h, false).unwrap();
+        cache.store(&keys, &h).unwrap();
         assert_eq!(cache.len(), 2);
         let mut out = Tensor::zeros(4, 1);
-        let mask = cache.lookup(&keys, &mut out, false).unwrap();
+        let mask = cache.lookup(&keys, &mut out).unwrap();
         assert_eq!(mask, vec![false, false, true, true]);
         assert_eq!(out.row(3), &[3.0]);
     }
@@ -895,11 +885,11 @@ mod tests {
     fn duplicate_store_overwrites_without_growth() {
         let cache = EmbedCache::new(5, 1);
         let k = [pack_key(1, 2.0)];
-        cache.store(&k, &Tensor::from_vec(1, 1, vec![1.0]), false).unwrap();
-        cache.store(&k, &Tensor::from_vec(1, 1, vec![9.0]), false).unwrap();
+        cache.store(&k, &Tensor::from_vec(1, 1, vec![1.0])).unwrap();
+        cache.store(&k, &Tensor::from_vec(1, 1, vec![9.0])).unwrap();
         assert_eq!(cache.len(), 1);
         let mut out = Tensor::zeros(1, 1);
-        assert_eq!(cache.lookup(&k, &mut out, false).unwrap(), vec![true]);
+        assert_eq!(cache.lookup(&k, &mut out).unwrap(), vec![true]);
         assert_eq!(out.get(0, 0), 9.0);
     }
 
@@ -911,41 +901,25 @@ mod tests {
         // anything out.
         let cache = EmbedCache::new(3, 1);
         let keys: Vec<u64> = (0..3).map(|n| pack_key(n, 1.0)).collect();
-        cache.store(&keys, &row_tensor(&[&[1.0], &[2.0], &[3.0]]), false).unwrap();
+        cache.store(&keys, &row_tensor(&[&[1.0], &[2.0], &[3.0]])).unwrap();
         assert_eq!(cache.len(), 3);
 
         // Full-capacity re-store of every key: zero evictions, new values.
-        cache.store(&keys, &row_tensor(&[&[10.0], &[20.0], &[30.0]]), false).unwrap();
+        cache.store(&keys, &row_tensor(&[&[10.0], &[20.0], &[30.0]])).unwrap();
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.total_evictions(), 0, "re-store must not evict");
         let mut out = Tensor::zeros(3, 1);
-        assert_eq!(cache.lookup(&keys, &mut out, false).unwrap(), vec![true; 3]);
+        assert_eq!(cache.lookup(&keys, &mut out).unwrap(), vec![true; 3]);
         assert_eq!(out.as_slice(), &[10.0, 20.0, 30.0]);
 
         // Mixed batch at capacity: two existing keys plus one fresh key
         // needs exactly one eviction (the FIFO-oldest), not three.
         let mixed = [keys[1], keys[2], pack_key(9, 9.0)];
-        cache.store(&mixed, &row_tensor(&[&[21.0], &[31.0], &[91.0]]), false).unwrap();
+        cache.store(&mixed, &row_tensor(&[&[21.0], &[31.0], &[91.0]])).unwrap();
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.total_evictions(), 1, "only the fresh key needs capacity");
         assert!(!cache.contains(keys[0]), "the FIFO-oldest key makes room");
         assert!(cache.contains(mixed[2]));
-    }
-
-    #[test]
-    fn parallel_and_sequential_lookup_agree() {
-        let cache = EmbedCache::new(2000, 4);
-        let keys: Vec<u64> = (0..1000u32).map(|i| pack_key(i, i as f32)).collect();
-        let data: Vec<f32> = (0..4000).map(|i| i as f32).collect();
-        cache.store(&keys, &Tensor::from_vec(1000, 4, data), true).unwrap();
-        let probe: Vec<u64> = (0..1500u32).map(|i| pack_key(i, i as f32)).collect();
-        let mut seq = Tensor::zeros(1500, 4);
-        let mut par = Tensor::zeros(1500, 4);
-        let m1 = cache.lookup(&probe, &mut seq, false).unwrap();
-        let m2 = cache.lookup(&probe, &mut par, true).unwrap();
-        assert_eq!(m1, m2);
-        assert_eq!(seq.as_slice(), par.as_slice());
-        assert_eq!(m1.iter().filter(|&&h| h).count(), 1000);
     }
 
     #[test]
@@ -954,7 +928,6 @@ mod tests {
         cache.store(
             &[pack_key(1, 1.0), pack_key(1, 2.0), pack_key(2, 1.0)],
             &Tensor::zeros(3, 1),
-            false,
         ).unwrap();
         assert_eq!(cache.invalidate_node(1), 2);
         assert_eq!(cache.len(), 1);
@@ -962,7 +935,6 @@ mod tests {
         let mask = cache.lookup(
             &[pack_key(1, 1.0), pack_key(1, 2.0), pack_key(2, 1.0)],
             &mut out,
-            false,
         ).unwrap();
         assert_eq!(mask, vec![false, false, true]);
     }
@@ -971,7 +943,7 @@ mod tests {
     fn targeted_invalidation_removes_only_matching_times() {
         let cache = EmbedCache::new(10, 1);
         let keys = [pack_key(1, 1.0), pack_key(1, 5.0), pack_key(1, 9.0), pack_key(2, 9.0)];
-        cache.store(&keys, &Tensor::zeros(4, 1), false).unwrap();
+        cache.store(&keys, &Tensor::zeros(4, 1)).unwrap();
         // Stale: node 1 entries with t > 4.0. Node 2 is untouched even
         // though its time matches.
         let (removed, retained) = cache.invalidate_node_entries_if(1, |t| t > 4.0);
@@ -986,7 +958,7 @@ mod tests {
     fn time_sweep_removes_entries_after_cutoff_for_all_nodes() {
         let cache = EmbedCache::new(10, 1);
         let keys = [pack_key(1, 1.0), pack_key(2, 5.0), pack_key(3, 9.0)];
-        cache.store(&keys, &Tensor::zeros(3, 1), false).unwrap();
+        cache.store(&keys, &Tensor::zeros(3, 1)).unwrap();
         let (removed, retained) = cache.invalidate_time_after(4.0);
         assert_eq!((removed, retained), (2, 1));
         assert!(cache.contains(keys[0]));
@@ -997,13 +969,13 @@ mod tests {
     fn accounting_identity_inserted_equals_evicted_plus_invalidated_plus_resident() {
         let cache = EmbedCache::new(3, 1);
         for i in 0..5u32 {
-            cache.store(&[pack_key(i, i as f32)], &Tensor::zeros(1, 1), false).unwrap();
+            cache.store(&[pack_key(i, i as f32)], &Tensor::zeros(1, 1)).unwrap();
         }
         cache.invalidate_node(3);
         cache.invalidate_time_after(100.0); // removes everything left
-        cache.store(&[pack_key(9, 1.0)], &Tensor::zeros(1, 1), false).unwrap();
+        cache.store(&[pack_key(9, 1.0)], &Tensor::zeros(1, 1)).unwrap();
         cache.clear(); // clear counts as invalidation
-        cache.store(&[pack_key(10, 1.0)], &Tensor::zeros(1, 1), false).unwrap();
+        cache.store(&[pack_key(10, 1.0)], &Tensor::zeros(1, 1)).unwrap();
         assert_eq!(
             cache.total_inserted(),
             cache.total_evictions() + cache.total_invalidated() + cache.len() as u64,
@@ -1016,19 +988,43 @@ mod tests {
     }
 
     #[test]
+    fn invalidation_between_publish_and_count_keeps_the_count_exact() {
+        // The interleaving a serving worker and an invalidator can produce:
+        // a store has published its key in a shard but not yet counted it
+        // when an invalidation removes that key.
+        let cache = EmbedCache::new(4, 1);
+        let key = pack_key(7, 1.0);
+        let entry = Entry { row: vec![1.0].into(), constraint: Box::default() };
+        cache.shards[shard_of(key)].write().insert(key, entry);
+        assert_eq!(cache.invalidate_node(7), 1);
+        assert_eq!(cache.len(), 0, "the early decrement must not read as a wrapped count");
+        cache.finish_store(vec![key], 1);
+        assert_eq!(cache.len(), 0, "the late count must cancel the early decrement");
+        // A full batch still fits exactly, with no phantom eviction.
+        let keys: Vec<u64> = (0..4u32).map(|i| pack_key(i, 2.0)).collect();
+        cache.store(&keys, &Tensor::zeros(4, 1)).unwrap();
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.total_evictions(), 0);
+        assert_eq!(
+            cache.total_inserted(),
+            cache.total_evictions() + cache.total_invalidated() + cache.len() as u64
+        );
+    }
+
+    #[test]
     fn eviction_skips_invalidated_entries() {
         let cache = EmbedCache::new(3, 1);
         for i in 0..3u32 {
-            cache.store(&[pack_key(i, 0.0)], &Tensor::zeros(1, 1), false).unwrap();
+            cache.store(&[pack_key(i, 0.0)], &Tensor::zeros(1, 1)).unwrap();
         }
         cache.invalidate_node(0);
         assert_eq!(cache.len(), 2);
         // Storing two more must evict exactly one live entry (key 1) while
         // skipping the stale FIFO slot for key 0.
-        cache.store(&[pack_key(10, 0.0), pack_key(11, 0.0)], &Tensor::zeros(2, 1), false).unwrap();
+        cache.store(&[pack_key(10, 0.0), pack_key(11, 0.0)], &Tensor::zeros(2, 1)).unwrap();
         assert!(cache.len() <= 3);
         let mut out = Tensor::zeros(1, 1);
-        assert_eq!(cache.lookup(&[pack_key(11, 0.0)], &mut out, false).unwrap(), vec![true]);
+        assert_eq!(cache.lookup(&[pack_key(11, 0.0)], &mut out).unwrap(), vec![true]);
     }
 
     #[test]
@@ -1037,11 +1033,11 @@ mod tests {
         // `stores` counter with rows it silently dropped.
         let cache = EmbedCache::new(2, 1);
         let keys: Vec<u64> = (0..4u32).map(|i| pack_key(i, 0.0)).collect();
-        cache.store(&keys, &Tensor::zeros(4, 1), false).unwrap();
+        cache.store(&keys, &Tensor::zeros(4, 1)).unwrap();
         assert_eq!(cache.total_stores(), 2, "only admitted rows count as stores");
         assert_eq!(cache.total_store_dropped(), 2, "dropped rows are surfaced");
         // A fitting store drops nothing.
-        cache.store(&[pack_key(9, 0.0)], &Tensor::zeros(1, 1), false).unwrap();
+        cache.store(&[pack_key(9, 0.0)], &Tensor::zeros(1, 1)).unwrap();
         assert_eq!(cache.total_stores(), 3);
         assert_eq!(cache.total_store_dropped(), 2);
     }
@@ -1050,9 +1046,9 @@ mod tests {
     fn restore_after_invalidation_does_not_duplicate_fifo_rows() {
         let cache = EmbedCache::new(10, 1);
         let keys: Vec<u64> = (0..3u32).map(|i| pack_key(i, 1.0)).collect();
-        cache.store(&keys, &row_tensor(&[&[0.0], &[1.0], &[2.0]]), false).unwrap();
+        cache.store(&keys, &row_tensor(&[&[0.0], &[1.0], &[2.0]])).unwrap();
         cache.invalidate_node(1);
-        cache.store(&[keys[1]], &Tensor::from_vec(1, 1, vec![9.0]), false).unwrap();
+        cache.store(&[keys[1]], &Tensor::from_vec(1, 1, vec![9.0])).unwrap();
         let export = cache.export_fifo_order();
         let exported: Vec<u64> = export.iter().map(|(k, _)| *k).collect();
         // Exactly once, at its re-store (newest) position.
@@ -1064,15 +1060,14 @@ mod tests {
     fn eviction_after_restore_treats_the_entry_as_young() {
         let cache = EmbedCache::new(3, 1);
         let keys: Vec<u64> = (0..3u32).map(|i| pack_key(i, 1.0)).collect();
-        cache.store(&keys, &Tensor::zeros(3, 1), false).unwrap();
+        cache.store(&keys, &Tensor::zeros(3, 1)).unwrap();
         cache.invalidate_node(0);
-        cache.store(&[keys[0]], &Tensor::zeros(1, 1), false).unwrap();
+        cache.store(&[keys[0]], &Tensor::zeros(1, 1)).unwrap();
         // FIFO age order is now 1, 2, 0. Two more stores must evict keys 1
         // and 2 — not the re-stored key 0 via its stale front slot.
         cache.store(
             &[pack_key(10, 0.0), pack_key(11, 0.0)],
             &Tensor::zeros(2, 1),
-            false,
         ).unwrap();
         assert!(cache.contains(keys[0]), "re-stored entry must survive as youngest");
         assert!(!cache.contains(keys[1]) && !cache.contains(keys[2]));
@@ -1090,7 +1085,7 @@ mod tests {
             vec![pack_key(2, 6.0), pack_key(9, 5.0)].into_boxed_slice(),
             Box::default(),
         ];
-        cache.store_with_constraints(&keys, &Tensor::zeros(3, 1), constraints, false).unwrap();
+        cache.store_with_constraints(&keys, &Tensor::zeros(3, 1), constraints).unwrap();
         // Edge at te=4.5: only pairs with time > 4.5 can be entered; say
         // the edge lands in node 9's window but not node 1's or 2's own.
         let (removed, retained) =
@@ -1111,8 +1106,8 @@ mod tests {
         let cache = EmbedCache::new(10, 1);
         let k = [pack_key(1, 5.0)];
         let fp = vec![vec![pack_key(1, 5.0)].into_boxed_slice()];
-        cache.store_with_constraints(&k, &Tensor::zeros(1, 1), fp, false).unwrap();
-        cache.store(&k, &Tensor::zeros(1, 1), false).unwrap();
+        cache.store_with_constraints(&k, &Tensor::zeros(1, 1), fp).unwrap();
+        cache.store(&k, &Tensor::zeros(1, 1)).unwrap();
         let (removed, _) = cache.invalidate_constraints_after(4.0, |_, _| false);
         assert_eq!(removed, 1, "fingerprint-less entry takes the conservative path");
     }
@@ -1142,12 +1137,12 @@ mod tests {
     fn layer_caches_same_key_different_layers_do_not_collide() {
         let lc = LayerCaches::new(2, true, 100, 1);
         let key = [pack_key(5, 3.0)];
-        lc.layer(1).unwrap().store(&key, &Tensor::from_vec(1, 1, vec![1.0]), false).unwrap();
-        lc.layer(2).unwrap().store(&key, &Tensor::from_vec(1, 1, vec![2.0]), false).unwrap();
+        lc.layer(1).unwrap().store(&key, &Tensor::from_vec(1, 1, vec![1.0])).unwrap();
+        lc.layer(2).unwrap().store(&key, &Tensor::from_vec(1, 1, vec![2.0])).unwrap();
         let mut o1 = Tensor::zeros(1, 1);
         let mut o2 = Tensor::zeros(1, 1);
-        assert_eq!(lc.layer(1).unwrap().lookup(&key, &mut o1, false).unwrap(), vec![true]);
-        assert_eq!(lc.layer(2).unwrap().lookup(&key, &mut o2, false).unwrap(), vec![true]);
+        assert_eq!(lc.layer(1).unwrap().lookup(&key, &mut o1).unwrap(), vec![true]);
+        assert_eq!(lc.layer(2).unwrap().lookup(&key, &mut o2).unwrap(), vec![true]);
         assert_eq!(o1.get(0, 0), 1.0);
         assert_eq!(o2.get(0, 0), 2.0);
         assert_eq!(lc.len(), 2);
@@ -1156,10 +1151,10 @@ mod tests {
     #[test]
     fn layer_caches_aggregate_invalidation_and_clear() {
         let lc = LayerCaches::new(2, true, 100, 1);
-        lc.layer(1).unwrap().store(&[pack_key(5, 1.0)], &Tensor::zeros(1, 1), false).unwrap();
-        lc.layer(2).unwrap().store(&[pack_key(5, 2.0)], &Tensor::zeros(1, 1), false).unwrap();
+        lc.layer(1).unwrap().store(&[pack_key(5, 1.0)], &Tensor::zeros(1, 1)).unwrap();
+        lc.layer(2).unwrap().store(&[pack_key(5, 2.0)], &Tensor::zeros(1, 1)).unwrap();
         assert_eq!(lc.invalidate_node(5), 2);
-        lc.layer(1).unwrap().store(&[pack_key(6, 1.0)], &Tensor::zeros(1, 1), false).unwrap();
+        lc.layer(1).unwrap().store(&[pack_key(6, 1.0)], &Tensor::zeros(1, 1)).unwrap();
         lc.clear();
         assert!(lc.is_empty());
         assert_eq!(lc.bytes_used(), 0);
@@ -1182,16 +1177,16 @@ mod tests {
         // One miss then one hit: rate becomes well-defined and exact.
         let k = [pack_key(1, 1.0)];
         let mut out = Tensor::zeros(1, 4);
-        let _ = cache.lookup(&k, &mut out, false).unwrap();
-        cache.store(&k, &Tensor::zeros(1, 4), false).unwrap();
-        let _ = cache.lookup(&k, &mut out, false).unwrap();
+        let _ = cache.lookup(&k, &mut out).unwrap();
+        cache.store(&k, &Tensor::zeros(1, 4)).unwrap();
+        let _ = cache.lookup(&k, &mut out).unwrap();
         assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn clear_and_bytes_used() {
         let cache = EmbedCache::new(10, 8);
-        cache.store(&[pack_key(1, 1.0)], &Tensor::zeros(1, 8), false).unwrap();
+        cache.store(&[pack_key(1, 1.0)], &Tensor::zeros(1, 8)).unwrap();
         assert_eq!(cache.bytes_used(), 32);
         cache.clear();
         assert!(cache.is_empty());

@@ -30,11 +30,6 @@ pub struct OptConfig {
     pub cache_limit: usize,
     /// Precomputed time-encoding window (paper default 10,000).
     pub time_window: usize,
-    /// Parallelize `CacheLookup` across keys (on for both machines in §5.1.3).
-    pub parallel_lookup: bool,
-    /// Parallelize `CacheStore` (the paper enables this only on the GPU
-    /// host to spread work across its slower cores).
-    pub parallel_store: bool,
     /// Also cache the final layer's embeddings. Off by default: `H^(L)` is
     /// never an input to another computation, so skipping it reduces memory
     /// (§4.2.2) at a negligible reuse cost.
@@ -58,8 +53,6 @@ impl OptConfig {
             enable_time_precompute: true,
             cache_limit: 2_000_000,
             time_window: 10_000,
-            parallel_lookup: true,
-            parallel_store: false,
             cache_last_layer: false,
             time_cache_kind: TimeCacheKind::DenseWindow,
         }
@@ -74,8 +67,6 @@ impl OptConfig {
             enable_time_precompute: false,
             cache_limit: 2_000_000,
             time_window: 10_000,
-            parallel_lookup: false,
-            parallel_store: false,
             cache_last_layer: false,
             time_cache_kind: TimeCacheKind::DenseWindow,
         }

@@ -386,13 +386,8 @@ impl<'a> TgoptEngine<'a> {
         let caches = Arc::clone(&self.caches);
         let cache_l = if self.memoization_active() { caches.layer(l) } else { None };
         let (keys, hit_mask) = if let Some(cache) = cache_l {
-            let parallel = self.opt.parallel_lookup;
-            let keys = self
-                .stats
-                .time(OpKind::ComputeKeys, || compute_keys(uns, uts, parallel));
-            let hit_mask = self
-                .stats
-                .time(OpKind::CacheLookup, || cache.lookup(&keys, &mut h, parallel))?;
+            let keys = self.stats.time(OpKind::ComputeKeys, || compute_keys(uns, uts));
+            let hit_mask = self.stats.time(OpKind::CacheLookup, || cache.lookup(&keys, &mut h))?;
             self.counters.cache_lookups += n_uniq as u64;
             self.counters.cache_hits += hit_mask.iter().filter(|&&m| m).count() as u64;
             (keys, hit_mask)
@@ -483,7 +478,6 @@ impl<'a> TgoptEngine<'a> {
             if let Some(cache) = cache_l {
                 if self.store_enabled {
                     let miss_keys: Vec<u64> = miss_idx.iter().map(|&i| keys[i]).collect(); // alloc-ok: Algorithm 3 CacheStore keys; one u64 per recomputed row
-                    let parallel = self.opt.parallel_store;
                     if l >= 2 {
                         // Layers >= 2 record each entry's temporal-subgraph
                         // fingerprint so streaming inserts can revalidate
@@ -499,11 +493,10 @@ impl<'a> TgoptEngine<'a> {
                                 Some(v) => fingerprint::capture_many(v, k, &m_ns, &m_ts, l - 1),
                                 None => fingerprint::capture_many(graph, k, &m_ns, &m_ts, l - 1),
                             };
-                            cache.store_with_constraints(&miss_keys, &h_m, fps, parallel)
+                            cache.store_with_constraints(&miss_keys, &h_m, fps)
                         })?;
                     } else {
-                        self.stats
-                            .time(OpKind::CacheStore, || cache.store(&miss_keys, &h_m, parallel))?;
+                        self.stats.time(OpKind::CacheStore, || cache.store(&miss_keys, &h_m))?;
                     }
                     self.counters.cache_stores += miss_keys.len() as u64;
                 } else {

@@ -107,7 +107,7 @@ pub fn from_bytes(mut data: Bytes) -> Result<LayerCaches, TgError> {
             for v in row.iter_mut() {
                 *v = data.get_f32_le();
             }
-            cache.store(&[key], &tg_tensor::Tensor::from_vec(1, dim, row.clone()), false)?;
+            cache.store(&[key], &tg_tensor::Tensor::from_vec(1, dim, row.clone()))?;
         }
         per_layer.push(Some(cache));
     }
@@ -148,7 +148,6 @@ mod tests {
                 c.store(
                     &[pack_key(i, l as f32)],
                     &Tensor::from_vec(1, 2, vec![i as f32, l as f32]),
-                    false,
                 )
                 .unwrap();
             }
@@ -167,7 +166,7 @@ mod tests {
             let c = restored.layer(l).unwrap();
             for i in 0..5u32 {
                 let mut out = Tensor::zeros(1, 2);
-                assert_eq!(c.lookup(&[pack_key(i, l as f32)], &mut out, false).unwrap(), vec![true]);
+                assert_eq!(c.lookup(&[pack_key(i, l as f32)], &mut out).unwrap(), vec![true]);
                 assert_eq!(out.as_slice(), &[i as f32, l as f32]);
             }
         }
@@ -179,15 +178,15 @@ mod tests {
         let lc = LayerCaches::new(2, false, 3, 1);
         let c = lc.layer(1).unwrap();
         for i in 0..3u32 {
-            c.store(&[pack_key(i, 0.0)], &Tensor::from_vec(1, 1, vec![i as f32]), false).unwrap();
+            c.store(&[pack_key(i, 0.0)], &Tensor::from_vec(1, 1, vec![i as f32])).unwrap();
         }
         let restored = from_bytes(to_bytes(&lc)).unwrap();
         let rc = restored.layer(1).unwrap();
         // Inserting one more must evict key 0 (the oldest), not key 2.
-        rc.store(&[pack_key(9, 0.0)], &Tensor::zeros(1, 1), false).unwrap();
+        rc.store(&[pack_key(9, 0.0)], &Tensor::zeros(1, 1)).unwrap();
         let mut out = Tensor::zeros(1, 1);
-        assert_eq!(rc.lookup(&[pack_key(0, 0.0)], &mut out, false).unwrap(), vec![false]);
-        assert_eq!(rc.lookup(&[pack_key(2, 0.0)], &mut out, false).unwrap(), vec![true]);
+        assert_eq!(rc.lookup(&[pack_key(0, 0.0)], &mut out).unwrap(), vec![false]);
+        assert_eq!(rc.lookup(&[pack_key(2, 0.0)], &mut out).unwrap(), vec![true]);
     }
 
     #[test]

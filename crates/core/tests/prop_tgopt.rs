@@ -75,7 +75,7 @@ proptest! {
             let key = pack_key(n, t as f32);
             if is_store {
                 let val = Tensor::from_vec(1, 2, vec![n as f32, t as f32]);
-                cache.store(&[key], &val, false).unwrap();
+                cache.store(&[key], &val).unwrap();
                 if !fifo.contains(&key) {
                     if fifo.len() == limit {
                         fifo.remove(0);
@@ -86,7 +86,7 @@ proptest! {
                 prop_assert_eq!(cache.len(), fifo.len());
             } else {
                 let mut out = Tensor::zeros(1, 2);
-                let hit = cache.lookup(&[key], &mut out, false).unwrap()[0];
+                let hit = cache.lookup(&[key], &mut out).unwrap()[0];
                 prop_assert_eq!(hit, fifo.contains(&key), "cache disagrees with FIFO oracle");
                 if hit {
                     // Whatever is returned must be the value stored for key.
@@ -122,7 +122,7 @@ proptest! {
     ) {
         let cache = EmbedCache::new(10_000, 1);
         for &(n, t) in &entries {
-            cache.store(&[pack_key(n, t as f32)], &Tensor::zeros(1, 1), false).unwrap();
+            cache.store(&[pack_key(n, t as f32)], &Tensor::zeros(1, 1)).unwrap();
         }
         let expected: HashSet<u64> = entries
             .iter()
@@ -133,7 +133,7 @@ proptest! {
         prop_assert_eq!(removed, expected.len());
         for key in expected {
             let mut out = Tensor::zeros(1, 1);
-            prop_assert!(!cache.lookup(&[key], &mut out, false).unwrap()[0]);
+            prop_assert!(!cache.lookup(&[key], &mut out).unwrap()[0]);
         }
     }
 }

@@ -35,14 +35,12 @@ mod ingest;
 pub mod queue;
 pub mod request;
 pub mod server;
-pub mod shard;
 pub mod stats;
 
 pub use batch::{coalesce, CoalescePlan};
 pub use queue::BoundedQueue;
 pub use request::{Request, Ticket};
 pub use server::{ModelBundle, ServeConfig, TgServer};
-pub use shard::ShardRouter;
 pub use stats::{ServeCounters, ServeStats};
 
 use std::sync::{LockResult, MutexGuard};

@@ -16,7 +16,6 @@ use crate::ingest::{sweep_insert, IngestEvent, IngestSync};
 use crate::queue::BoundedQueue;
 use crate::relock;
 use crate::request::{Request, Slot, Ticket};
-use crate::shard::ShardScope;
 use crate::stats::{ServeCounters, ServeStats};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -39,8 +38,8 @@ pub struct ModelBundle {
     /// Trained TGAT parameters.
     pub params: TgatParams,
     /// The temporal graph being served, frozen and `Arc`-shared so a
-    /// sharded deployment pays for the (large, immutable) T-CSR once no
-    /// matter how many per-shard `LiveGraph` delta views sit on top.
+    /// live-ingest server layers its `LiveGraph` delta on the same
+    /// (large, immutable) T-CSR instead of copying it.
     pub graph: Arc<TemporalGraph>,
     /// `[num_nodes, dim]` static node features.
     pub node_features: Tensor,
@@ -52,7 +51,7 @@ impl ModelBundle {
     /// Validates feature shapes against the model configuration. The
     /// graph is frozen here (reads are unchanged; see
     /// `TemporalGraph::freeze`) so every downstream consumer — engines,
-    /// per-shard live views — shares one compact immutable base.
+    /// the live view — shares one compact immutable base.
     pub fn new(
         params: TgatParams,
         mut graph: TemporalGraph,
@@ -118,11 +117,6 @@ pub struct ServeConfig {
     /// Delta-log length that triggers compaction back into CSR
     /// (live-ingest mode only; `usize::MAX` disables auto-compaction).
     pub compact_threshold: usize,
-    /// Best-effort worker-thread core pinning: worker `slot` of shard `s`
-    /// asks for logical CPU `s * workers + slot`. A refused mask (fewer
-    /// cores than workers, restricted cpuset, non-Linux target) leaves
-    /// the thread floating — never an error.
-    pub pin_cores: bool,
 }
 
 impl Default for ServeConfig {
@@ -137,7 +131,6 @@ impl Default for ServeConfig {
             record_spans: false,
             live_ingest: false,
             compact_threshold: tg_graph::live::DEFAULT_COMPACT_THRESHOLD,
-            pin_cores: false,
         }
     }
 }
@@ -197,12 +190,6 @@ impl ServeConfig {
         self
     }
 
-    /// Builder-style best-effort core pinning for worker threads.
-    pub fn with_pin_cores(mut self, on: bool) -> Self {
-        self.pin_cores = on;
-        self
-    }
-
     fn validate(&self) -> Result<(), TgError> {
         if self.max_batch == 0 {
             return Err(TgError::InvalidConfig("max_batch must be positive".into()));
@@ -243,11 +230,6 @@ struct Shared {
     /// pins register under the same critical section that takes the view,
     /// and appends pair with their replay event the same way.
     ingest: Mutex<IngestSync>,
-    /// Which shard of a [`crate::shard::ShardRouter`] this server is, if
-    /// any. Read-only after construction (no locks on the hot path); its
-    /// assignment drives the replicated-frontier traffic accounting and
-    /// the core-pinning offset.
-    scope: Option<ShardScope>,
 }
 
 /// Pins `slot` to a fresh snapshot of the live graph. The pin registers
@@ -284,52 +266,6 @@ fn finish_live_wave(shared: &Shared, live: &LiveGraph, slot: usize) {
     relock(shared.ingest.lock()).release_pin(slot);
 }
 
-/// Accounts the sampled layer-1 frontier of one wave's unique targets:
-/// how many of each target's `k` most-recent neighbors this shard owns
-/// versus how many are *replicated* from another shard's partition.
-/// Replicated-frontier serving keeps the compute local (layer-0 features
-/// and time-encode state are pure functions of shared immutable inputs,
-/// so replication costs memory traffic, not coordination); this counter
-/// is the measured price of that choice, recorded so a later placement
-/// policy can judge whether smarter routing would pay. No-op for an
-/// unsharded server.
-fn record_frontier_traffic(shared: &Shared, ns: &[NodeId], ts: &[Time]) {
-    let Some(scope) = shared.scope.as_ref() else { return };
-    let k = shared.bundle.params.cfg.n_neighbors;
-    let mut total = 0u64;
-    let mut remote = 0u64;
-    let mut count = |ngh: NodeId| {
-        total += 1;
-        if scope.assignment.owner(ngh) != scope.shard {
-            remote += 1;
-        }
-    };
-    match shared.live.as_ref() {
-        Some(live) => {
-            // A fresh view (Arc clone, no allocation) rather than the
-            // wave's pinned one: the counter tolerates being one epoch
-            // ahead, and threading the pin here would couple accounting
-            // to the ingest protocol for no accuracy gain.
-            let view = live.view();
-            for (&n, &t) in ns.iter().zip(ts) {
-                let take = view.hist_len_before(n, t).min(k);
-                view.most_recent(n, t, take, |_, e| count(e.ngh));
-            }
-        }
-        None => {
-            for (&n, &t) in ns.iter().zip(ts) {
-                let hist = shared.bundle.graph.neighbors_before(n, t);
-                // The window is the k most recent; counting order is
-                // irrelevant, so walk the suffix backward.
-                for e in hist.iter().rev().take(k) {
-                    count(e.ngh);
-                }
-            }
-        }
-    }
-    shared.counters.record_frontier(total, remote);
-}
-
 /// Runs one wave through `engine`: deadline filter → cross-request dedup →
 /// (possibly degraded) inference → per-request scatter. Every pending
 /// request in the wave is fulfilled exactly once before return. Wave
@@ -362,7 +298,6 @@ fn process_wave(
         .is_some_and(|budget| shared.cache.bytes_used() >= budget);
     engine.set_store_enabled(!degraded);
     shared.counters.record_batch(live.len() as u64, plan.ns.len() as u64, degraded);
-    record_frontier_traffic(shared, &plan.ns, &plan.ts);
     match engine.embed_batch(&plan.ns, &plan.ts) {
         Ok(h) => {
             for (p, &row) in live.iter().zip(&plan.row_of) {
@@ -423,14 +358,6 @@ fn worker_loop(
     slot: usize,
 ) {
     let bundle = Arc::clone(&shared.bundle);
-    if shared.cfg.pin_cores {
-        // Best-effort: shard s's worker slot w asks for CPU
-        // s * workers + w, giving disjoint core ranges per shard. A
-        // refused mask (fewer cores than shards × workers, restricted
-        // cpuset, non-Linux) leaves the thread floating.
-        let base = shared.scope.as_ref().map_or(0, |s| s.shard * shared.cfg.workers);
-        let _ = core_affinity::set_for_current(core_affinity::CoreId { id: base + slot });
-    }
     // One engine per worker, reused across waves — which also means one
     // `Scratch` arena per worker: after the first wave, steady-state
     // batches run the whole attention stack out of recycled buffers with
@@ -474,11 +401,7 @@ pub struct TgServer {
 }
 
 impl TgServer {
-    fn shared_state(
-        bundle: Arc<ModelBundle>,
-        cfg: ServeConfig,
-        scope: Option<ShardScope>,
-    ) -> Result<Arc<Shared>, TgError> {
+    fn shared_state(bundle: Arc<ModelBundle>, cfg: ServeConfig) -> Result<Arc<Shared>, TgError> {
         cfg.validate()?;
         let n_layers = bundle.params.cfg.n_layers;
         let dim = bundle.params.cfg.dim;
@@ -489,8 +412,8 @@ impl TgServer {
             dim,
         ));
         let live = cfg.live_ingest.then(|| {
-            // Zero-copy over the bundle's frozen base: every shard's live
-            // graph layers its own delta on the same shared T-CSR.
+            // Zero-copy over the bundle's frozen base: the live graph
+            // layers its delta on the shared T-CSR.
             LiveGraph::from_shared(Arc::clone(&bundle.graph))
                 .with_compact_threshold(cfg.compact_threshold)
         });
@@ -506,7 +429,6 @@ impl TgServer {
             live,
             // One pin slot per worker plus the deterministic drain slot.
             ingest: Mutex::new(IngestSync::new(cfg.workers + 1)),
-            scope,
             cfg,
         }))
     }
@@ -515,32 +437,14 @@ impl TgServer {
     /// processes them in submission order with size-only flushing. Every
     /// scheduling decision is a pure function of the submit/drain sequence.
     pub fn deterministic(bundle: Arc<ModelBundle>, cfg: ServeConfig) -> Result<Self, TgError> {
-        Self::deterministic_scoped(bundle, cfg, None)
-    }
-
-    /// [`TgServer::deterministic`] as one shard of a router.
-    pub(crate) fn deterministic_scoped(
-        bundle: Arc<ModelBundle>,
-        cfg: ServeConfig,
-        scope: Option<ShardScope>,
-    ) -> Result<Self, TgError> {
-        let shared = Self::shared_state(bundle, cfg, scope)?;
+        let shared = Self::shared_state(bundle, cfg)?;
         Ok(Self { shared, batcher: None, workers: Vec::new(), deterministic: true })
     }
 
     /// A threaded server: one batcher thread plus `cfg.workers` inference
     /// workers sharing a single memoization cache.
     pub fn threaded(bundle: Arc<ModelBundle>, cfg: ServeConfig) -> Result<Self, TgError> {
-        Self::threaded_scoped(bundle, cfg, None)
-    }
-
-    /// [`TgServer::threaded`] as one shard of a router.
-    pub(crate) fn threaded_scoped(
-        bundle: Arc<ModelBundle>,
-        cfg: ServeConfig,
-        scope: Option<ShardScope>,
-    ) -> Result<Self, TgError> {
-        let shared = Self::shared_state(bundle, cfg, scope)?;
+        let shared = Self::shared_state(bundle, cfg)?;
         let (tx, rx) = mpsc::channel::<Vec<Pending>>();
         let rx = Arc::new(Mutex::new(rx));
         let workers: Vec<JoinHandle<()>> = (0..shared.cfg.workers)
@@ -787,8 +691,6 @@ impl TgServer {
                 batched_requests: serve.batched_requests,
                 unique_rows: serve.unique_rows,
                 degraded_batches: serve.degraded_batches,
-                frontier_reads: serve.frontier_reads,
-                frontier_remote: serve.frontier_remote,
             },
             ingest: {
                 let graph = self.shared.live.as_ref().map(LiveGraph::ingest_stats);

@@ -37,8 +37,6 @@ pub struct ServeCounters {
     entries_retained: AtomicU64,
     layer_removed: [AtomicU64; TRACKED_SWEEP_LAYERS],
     layer_retained: [AtomicU64; TRACKED_SWEEP_LAYERS],
-    frontier_reads: AtomicU64,
-    frontier_remote: AtomicU64,
     latency: LatencyHistogram,
 }
 
@@ -149,22 +147,6 @@ impl ServeCounters {
         }
     }
 
-    /// Records one wave's sampled layer-1 frontier composition: `total`
-    /// neighbor reads, of which `remote` hit nodes owned by another
-    /// shard (served from replicated state). Zero-traffic for an
-    /// unsharded server.
-    ///
-    /// # Invariants
-    ///
-    /// - `remote <= total` (a remote read is a read).
-    /// - Monotone; both counters move together in one call, so the
-    ///   remote fraction derived from any snapshot stays in `[0, 1]`.
-    pub fn record_frontier(&self, total: u64, remote: u64) {
-        debug_assert!(remote <= total);
-        self.frontier_reads.fetch_add(total, Ordering::Relaxed);
-        self.frontier_remote.fetch_add(remote, Ordering::Relaxed);
-    }
-
     /// Records one completed request's end-to-end (submit-to-fulfill)
     /// latency. Only successful completions are sampled, so the histogram
     /// describes the latency a satisfied client observed.
@@ -192,8 +174,6 @@ impl ServeCounters {
             entries_retained: self.entries_retained.load(Ordering::Relaxed),
             layer_removed: snapshot_bins(&self.layer_removed),
             layer_retained: snapshot_bins(&self.layer_retained),
-            frontier_reads: self.frontier_reads.load(Ordering::Relaxed),
-            frontier_remote: self.frontier_remote.load(Ordering::Relaxed),
             latency: self.latency.snapshot(),
         }
     }
@@ -237,11 +217,6 @@ pub struct ServeStats {
     /// (`i >= 1`) count entries the pre-fingerprint conservative sweep
     /// would have removed.
     pub layer_retained: [u64; TRACKED_SWEEP_LAYERS],
-    /// Sampled layer-1 frontier neighbor reads (sharded servers only).
-    pub frontier_reads: u64,
-    /// Frontier reads that hit a node owned by another shard — the
-    /// replicated-frontier traffic a smarter placement could cut.
-    pub frontier_remote: u64,
     /// Online end-to-end (submit-to-fulfill) latency distribution of
     /// completed requests, log2-bucketed nanoseconds.
     pub latency: HistogramSnapshot,
@@ -265,46 +240,6 @@ impl ServeStats {
         } else {
             self.batched_requests as f64 / self.batches as f64
         }
-    }
-
-    /// Fraction of sampled frontier reads that crossed a shard boundary
-    /// (0.0 before the first read — never NaN).
-    pub fn remote_frontier_ratio(&self) -> f64 {
-        if self.frontier_reads == 0 {
-            0.0
-        } else {
-            self.frontier_remote as f64 / self.frontier_reads as f64
-        }
-    }
-
-    /// Combines this snapshot with another (e.g. per-shard snapshots into
-    /// a router-wide view): counters add, latency histograms merge
-    /// bucket-wise. Because each input satisfies the accounting identity
-    /// `submitted >= completed + rejected_deadline` and every field is a
-    /// sum of non-negative per-shard terms, the merged snapshot satisfies
-    /// it too — pinned by a unit test below.
-    pub fn merge(mut self, other: &ServeStats) -> ServeStats {
-        self.submitted += other.submitted;
-        self.rejected_overload += other.rejected_overload;
-        self.rejected_deadline += other.rejected_deadline;
-        self.completed += other.completed;
-        self.batches += other.batches;
-        self.batched_requests += other.batched_requests;
-        self.unique_rows += other.unique_rows;
-        self.degraded_batches += other.degraded_batches;
-        self.edges_ingested += other.edges_ingested;
-        self.entries_invalidated += other.entries_invalidated;
-        self.entries_retained += other.entries_retained;
-        for (mine, theirs) in self.layer_removed.iter_mut().zip(&other.layer_removed) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.layer_retained.iter_mut().zip(&other.layer_retained) {
-            *mine += theirs;
-        }
-        self.frontier_reads += other.frontier_reads;
-        self.frontier_remote += other.frontier_remote;
-        self.latency.merge(&other.latency);
-        self
     }
 }
 
@@ -346,61 +281,8 @@ mod tests {
         assert!((s.mean_batch_size() - 5.0).abs() < 1e-12);
     }
 
-    /// One shard's worth of plausible traffic: `submitted` strictly covers
-    /// `completed + rejected_deadline` with a gap (in-flight requests).
-    fn shard_stats(seed: u64) -> ServeStats {
-        let c = ServeCounters::default();
-        let (completed, deadline, inflight) = (seed * 10, seed, 2 + seed % 3);
-        for _ in 0..completed + deadline + inflight {
-            c.record_submitted();
-        }
-        c.record_deadline(deadline);
-        c.record_completed(completed);
-        c.record_batch(completed, completed.max(1) - 1, seed % 2 == 0);
-        c.record_frontier(40 * seed, 10 * seed);
-        c.record_latency(1_000 * (seed + 1));
-        c.record_latency(50_000 * (seed + 1));
-        c.snapshot()
-    }
-
     #[test]
-    fn merge_preserves_the_submitted_identity() {
-        // The satellite regression this pins: merging per-shard snapshots
-        // must keep `submitted >= completed + rejected_deadline` and add
-        // counters exactly — no field dropped, no double count.
-        let shards: Vec<ServeStats> = (1..=4).map(shard_stats).collect();
-        for s in &shards {
-            assert!(s.submitted >= s.completed + s.rejected_deadline, "per-shard identity");
-        }
-        let merged = shards.iter().fold(ServeStats::default(), |acc, s| acc.merge(s));
-        assert!(
-            merged.submitted >= merged.completed + merged.rejected_deadline,
-            "merged identity: {} >= {} + {}",
-            merged.submitted,
-            merged.completed,
-            merged.rejected_deadline
-        );
-        assert_eq!(merged.submitted, shards.iter().map(|s| s.submitted).sum::<u64>());
-        assert_eq!(merged.completed, shards.iter().map(|s| s.completed).sum::<u64>());
-        assert_eq!(
-            merged.rejected_deadline,
-            shards.iter().map(|s| s.rejected_deadline).sum::<u64>()
-        );
-        assert_eq!(merged.frontier_reads, shards.iter().map(|s| s.frontier_reads).sum::<u64>());
-        assert_eq!(merged.frontier_remote, shards.iter().map(|s| s.frontier_remote).sum::<u64>());
-        // Latency histograms merge bucket-wise: counts and sums add.
-        assert_eq!(merged.latency.count(), shards.iter().map(|s| s.latency.count()).sum::<u64>());
-        assert_eq!(
-            merged.latency.sum_ns(),
-            shards.iter().map(|s| s.latency.sum_ns()).sum::<u64>()
-        );
-        // The merged remote fraction stays a valid ratio.
-        let r = merged.remote_frontier_ratio();
-        assert!((0.0..=1.0).contains(&r) && (r - 0.25).abs() < 1e-12, "{r}");
-    }
-
-    #[test]
-    fn layer_sweep_bins_partition_the_totals_and_merge() {
+    fn layer_sweep_bins_partition_the_totals() {
         let c = ServeCounters::default();
         // One sweep: 3 removed / 5 retained on layer 1, 2 / 7 on layer 2.
         c.record_invalidation_sweep(3 + 2, 5 + 7);
@@ -412,16 +294,5 @@ mod tests {
         assert_eq!(s.layer_retained, [5, 7, 0, 0]);
         assert_eq!(s.layer_removed.iter().sum::<u64>(), s.entries_invalidated);
         assert_eq!(s.layer_retained.iter().sum::<u64>(), s.entries_retained);
-        let merged = s.merge(&s);
-        assert_eq!(merged.layer_removed, [6, 4, 0, 0]);
-        assert_eq!(merged.layer_retained, [10, 14, 0, 0]);
-    }
-
-    #[test]
-    fn merge_with_default_is_identity() {
-        let s = shard_stats(3);
-        let merged = ServeStats::default().merge(&s);
-        assert_eq!(merged, s);
-        assert_eq!(s.merge(&ServeStats::default()), merged);
     }
 }

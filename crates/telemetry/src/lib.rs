@@ -26,7 +26,7 @@ mod span;
 pub use hist::{HistogramSnapshot, LatencyHistogram, NUM_BUCKETS};
 pub use snapshot::{
     schema_paths, EmbedCacheTelemetry, EngineTelemetry, IngestTelemetry, LatencyTelemetry,
-    LayerSweepTelemetry, ServeTelemetry, ShardTelemetry, TelemetrySnapshot, TimeCacheTelemetry,
+    LayerSweepTelemetry, ServeTelemetry, TelemetrySnapshot, TimeCacheTelemetry,
     SCHEMA_VERSION,
 };
 pub use span::{OpKind, Recorder, StageSpan};

@@ -5,9 +5,9 @@
 //! ecosystem is thin, we provide the pieces TGAT actually needs:
 //!
 //! * [`Tensor`] — a row-major 2-D matrix of `f32` (vectors are `1 x n`).
-//! * Parallel kernels — blocked matrix multiplication, masked row softmax,
+//! * Kernels — register-tiled matrix multiplication, masked row softmax,
 //!   elementwise maps, column concatenation and row gathering, all
-//!   parallelized with rayon above a size threshold.
+//!   single-threaded and written so LLVM auto-vectorizes the inner loops.
 //! * [`autograd`] — a tape-based reverse-mode autodiff engine covering the
 //!   operations used by TGAT (including fused batched attention primitives),
 //!   plus an [`adam`] optimizer for training.
@@ -26,9 +26,3 @@ pub mod tensor;
 
 pub use scratch::Scratch;
 pub use tensor::Tensor;
-
-/// Number of `f32` elements below which kernels stay sequential.
-///
-/// Parallelizing tiny operations costs more in rayon scheduling than the
-/// arithmetic saves; this threshold was picked with `benches/matmul.rs`.
-pub const PAR_THRESHOLD: usize = 16 * 1024;

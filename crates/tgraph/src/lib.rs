@@ -11,13 +11,11 @@
 //! * [`LiveGraph`] — streaming ingest: an append-friendly delta-log beside
 //!   the frozen T-CSR with periodic compaction, serving epoch-stamped
 //!   [`GraphView`] snapshots to concurrent readers.
-//! * [`sampler`] — parallel most-recent and uniform temporal neighborhood
+//! * [`sampler`] — most-recent and uniform temporal neighborhood
 //!   samplers upholding the temporal constraint `t_j < t`, generic over
 //!   frozen graphs and live views via [`HistorySource`].
 //! * [`batch`] — fixed-size chronological batch iteration (batch size 200 in
 //!   the paper's inference task).
-//! * [`shard`] — immutable node→shard assignment (hash or degree-balanced)
-//!   for the partitioned serving engine.
 //!
 //! Node ids are `u32` and timestamps `f32`, matching the 32-bit values the
 //! paper's collision-free 64-bit hash packs together (§4.1).
@@ -26,13 +24,11 @@ pub mod batch;
 pub mod graph;
 pub mod live;
 pub mod sampler;
-pub mod shard;
 pub mod stream;
 
 pub use batch::{BatchIter, EdgeBatch};
 pub use graph::TemporalGraph;
 pub use live::{GraphView, IngestStats, LiveGraph};
-pub use shard::{ShardAssignment, ShardStrategy};
 pub use sampler::{
     HistorySource, NeighborhoodBatch, SamplingStrategy, TemporalSampler, INVALID_EDGE,
 };

@@ -73,10 +73,8 @@ pub const CACHE_STATE_FILES: &[&str] = &[
     "crates/core/src/persist.rs",
     "crates/serve/src/ingest.rs",
     "crates/serve/src/queue.rs",
-    "crates/serve/src/shard.rs",
     "crates/serve/src/stats.rs",
     "crates/tgraph/src/live.rs",
-    "crates/tgraph/src/shard.rs",
 ];
 
 /// Files holding cache/serve accounting state whose counters must be read
@@ -86,7 +84,6 @@ pub const COUNTER_FILES: &[&str] = &[
     "crates/core/src/engine.rs",
     "crates/serve/src/queue.rs",
     "crates/serve/src/server.rs",
-    "crates/serve/src/shard.rs",
     "crates/serve/src/stats.rs",
     "crates/telemetry/src/hist.rs",
     "crates/tgraph/src/live.rs",

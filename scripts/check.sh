@@ -22,8 +22,8 @@
 #      "Effect inference (L13-L16)")
 #   4. streaming --verify           — live-ingest served rows vs cold
 #      rebuild (the blocking half of the streaming smoke bench in CI)
-#   5. serve --shards 4 --verify    — sharded router rows vs a direct
-#      engine (the blocking half of the sharded smoke bench in CI)
+#   5. serve --verify               — deterministic-server rows vs a
+#      direct engine (the blocking serving correctness gate in CI)
 #
 # The lint also runs inside `cargo test` via tests/lint_gate.rs, so step 3
 # is technically redundant — but running it standalone gives file:line
@@ -54,11 +54,11 @@ echo "==> streaming --verify"
 cargo build --release -q -p tg-bench
 ./target/release/streaming --verify >/dev/null
 
-# Sharding equivalence gate (mirrors the blocking CI step): replay the
-# query stream through a 4-shard deterministic router and check every row
-# against a direct engine. Exits nonzero on divergence.
-echo "==> serve --shards 4 --verify"
+# Serving equivalence gate (mirrors the blocking CI step): replay the
+# query stream through a deterministic TgServer and check every row
+# against a direct engine within 1e-5. Exits nonzero on divergence.
+echo "==> serve --verify"
 ./target/release/serve -d snap-msg --scale 0.02 --clients 2 --requests 200 \
-  --shards 4 --verify >/dev/null
+  --verify >/dev/null
 
 echo "==> all checks passed"

@@ -7,7 +7,7 @@ use tgopt_repro::graph::{BatchIter, TemporalGraph};
 use tgopt_repro::tensor::Tensor;
 use tgopt_repro::tgat::engine::GraphContext;
 use tgopt_repro::tgat::{BaselineEngine, TgatConfig, TgatParams};
-use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
+use tgopt_repro::tgopt::{OptConfig, TgoptEngine, TimeCacheKind};
 
 const TOL: f32 = 1e-4;
 
@@ -90,13 +90,14 @@ fn equivalence_holds_for_odd_batch_sizes() {
 }
 
 #[test]
-fn parallel_store_configuration_matches() {
-    let opt = OptConfig { parallel_store: true, ..OptConfig::all() };
-    check_dataset("snap-msg", opt, 50);
-}
-
-#[test]
 fn cache_last_layer_matches() {
     let opt = OptConfig { cache_last_layer: true, ..OptConfig::all() };
     check_dataset("jodie-reddit", opt, 50);
+}
+
+#[test]
+fn hash_time_cache_matches() {
+    let opt = OptConfig::all().with_time_cache_kind(TimeCacheKind::Hash);
+    check_dataset("snap-msg", opt, 50);
+    check_dataset("jodie-wiki", opt.with_time_window(4), 50);
 }

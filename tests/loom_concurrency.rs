@@ -178,7 +178,7 @@ fn cache_accounting_survives_store_lookup_invalidate_race() {
             for t in 0..3u32 {
                 let keys = [pack_key(7, t as f32), pack_key(100 + t, 1.0)];
                 let h = Tensor::from_vec(2, 2, vec![t as f32, 1.0, t as f32, 2.0]);
-                c.store(&keys, &h, false).unwrap();
+                c.store(&keys, &h).unwrap();
             }
         });
 
@@ -196,7 +196,7 @@ fn cache_accounting_survives_store_lookup_invalidate_race() {
         let reader = thread::spawn(move || {
             let mut out = Tensor::zeros(1, 2);
             for t in 0..3u32 {
-                let hit = c.lookup(&[pack_key(7, t as f32)], &mut out, false).unwrap();
+                let hit = c.lookup(&[pack_key(7, t as f32)], &mut out).unwrap();
                 if hit[0] {
                     // A hit row is a fully-written row, never a torn one.
                     assert_eq!(out.row(0), &[t as f32, 1.0], "lookup returned a torn row");

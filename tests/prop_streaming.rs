@@ -161,6 +161,7 @@ proptest! {
         let server = TgServer::deterministic(Arc::clone(&w.bundle), cfg).unwrap();
 
         let mut ingested = 0usize;
+        let mut queries = 0u64;
         let mut pending: Vec<(Ticket, NodeId, Time)> = Vec::new();
         for &(op, a, b) in &script {
             match op % 5 {
@@ -177,6 +178,7 @@ proptest! {
                 1 => {
                     let (n, t) = decode(a, b);
                     pending.push((server.submit(n, t).unwrap(), n, t));
+                    queries += 1;
                 }
                 2 => {
                     server.drain().unwrap();
@@ -191,15 +193,133 @@ proptest! {
         // actually pins (and therefore prunes) the replay log.
         let (n, t) = decode(3, 9);
         pending.push((server.submit(n, t).unwrap(), n, t));
+        queries += 1;
         server.drain().unwrap();
         check_pending(&mut pending, ingested)?;
 
         prop_assert_eq!(server.pending_ingest_events(), 0);
+        prop_assert_eq!(server.queued(), 0);
         let stats = server.stats();
         prop_assert_eq!(stats.edges_ingested, ingested as u64);
+        // Every query resolved, and the books balance: nothing was shed
+        // or expired, so submissions equal completions exactly.
+        prop_assert_eq!(stats.completed, queries);
+        prop_assert_eq!(stats.submitted, stats.completed + stats.rejected_deadline);
+        prop_assert_eq!(stats.rejected_deadline, 0);
         let ingest = server.ingest_stats().unwrap();
         prop_assert_eq!(ingest.edges_appended, ingested as u64);
         server.shutdown();
+    }
+
+    /// Batch layout never leaks into results: two live servers replaying
+    /// the same script, one batching up to `max_batch` requests (with
+    /// cross-request dedup) and one serving each request alone, hand out
+    /// the same edge ids and the same rows within 1e-5.
+    fn batching_never_changes_served_rows(
+        script in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..40),
+        max_batch in 2usize..16,
+    ) {
+        let w = world();
+        let cfg = ServeConfig::default()
+            .with_queue_capacity(512)
+            .with_live_ingest(true)
+            .with_compact_threshold(usize::MAX);
+        let batched =
+            TgServer::deterministic(Arc::clone(&w.bundle), cfg.with_max_batch(max_batch)).unwrap();
+        let single = TgServer::deterministic(Arc::clone(&w.bundle), cfg.with_max_batch(1)).unwrap();
+
+        let mut ingested = 0usize;
+        let mut pending: Vec<(Ticket, Ticket, NodeId, Time)> = Vec::new();
+        let resolve = |pending: &mut Vec<(Ticket, Ticket, NodeId, Time)>|
+            -> Result<(), TestCaseError> {
+            for (i, (b, s, n, t)) in pending.drain(..).enumerate() {
+                let diff = max_abs_diff(&b.wait().unwrap(), &s.wait().unwrap());
+                prop_assert!(
+                    diff < 1e-5,
+                    "query {i} ({n}, {t}): batched and one-at-a-time rows diverge by {diff}"
+                );
+            }
+            Ok(())
+        };
+        for &(op, a, b) in &script {
+            match op % 5 {
+                0 | 3 => {
+                    if ingested < w.pool.len() {
+                        let e = w.pool[ingested];
+                        let eb = batched.submit_edge(e.src, e.dst, e.time).unwrap();
+                        let es = single.submit_edge(e.src, e.dst, e.time).unwrap();
+                        prop_assert_eq!(eb, es);
+                        ingested += 1;
+                    }
+                }
+                1 => {
+                    let (n, t) = decode(a, b);
+                    pending.push((batched.submit(n, t).unwrap(), single.submit(n, t).unwrap(), n, t));
+                }
+                2 => {
+                    batched.drain().unwrap();
+                    single.drain().unwrap();
+                    resolve(&mut pending)?;
+                }
+                _ => {
+                    prop_assert!(batched.compact_live());
+                    prop_assert!(single.compact_live());
+                }
+            }
+        }
+        let (n, t) = decode(3, 9);
+        pending.push((batched.submit(n, t).unwrap(), single.submit(n, t).unwrap(), n, t));
+        batched.drain().unwrap();
+        single.drain().unwrap();
+        resolve(&mut pending)?;
+
+        let (sb, ss) = (batched.shutdown(), single.shutdown());
+        prop_assert_eq!(sb.completed, ss.completed);
+        prop_assert_eq!(sb.edges_ingested, ss.edges_ingested);
+        prop_assert!(sb.batches <= ss.batches);
+    }
+
+    /// The threaded server applies ingest the same way: between ingest
+    /// phases, every row its workers serve equals a cold rebuild of the
+    /// edges submitted so far. Each phase waits on all of its tickets
+    /// before the next ingest, so the expected graph is exact.
+    fn threaded_live_server_matches_cold_rebuild(
+        phases in proptest::collection::vec(
+            (0usize..6, proptest::collection::vec((any::<u32>(), any::<u32>()), 1..12)),
+            1..6,
+        ),
+        compact_threshold in 1usize..16,
+    ) {
+        let w = world();
+        let cfg = ServeConfig::default()
+            .with_workers(2)
+            .with_max_batch(4)
+            .with_queue_capacity(512)
+            .with_live_ingest(true)
+            .with_compact_threshold(compact_threshold);
+        let server = TgServer::threaded(Arc::clone(&w.bundle), cfg).unwrap();
+        let mut ingested = 0usize;
+        let mut queries = 0u64;
+        for (n_ingest, reqs) in &phases {
+            for e in w.pool.iter().skip(ingested).take(*n_ingest) {
+                let eid = server.submit_edge(e.src, e.dst, e.time).unwrap();
+                prop_assert_eq!(eid, e.eid);
+                ingested += 1;
+            }
+            let mut pending: Vec<(Ticket, NodeId, Time)> = reqs
+                .iter()
+                .map(|&(a, b)| {
+                    let (n, t) = decode(a, b);
+                    (server.submit(n, t).unwrap(), n, t)
+                })
+                .collect();
+            queries += pending.len() as u64;
+            check_pending(&mut pending, ingested)?;
+        }
+        let stats = server.shutdown();
+        prop_assert_eq!(stats.edges_ingested, ingested as u64);
+        prop_assert_eq!(stats.completed, queries);
+        prop_assert_eq!(stats.submitted, queries);
     }
 
     /// Fingerprint equivalence: with last-layer caching on, the

@@ -13,14 +13,25 @@
 //!   from-scratch recompute over the fully-rebuilt graph (a one-layer
 //!   engine is the oracle: the layer-1 cache stores exactly the layer-1
 //!   embedding of its `(node, time)` key).
+//! * **Caches drain to zero** — an invalidator sweeps every node while
+//!   the run is live; at quiescence a second full sweep must leave every
+//!   layer's cache empty (an underflowing count or a leaked entry would
+//!   show up as a nonzero length).
+//!
+//! A second scenario drives a threaded server over a generated dataset
+//! with several clients using `submit_many`, an ingester and a per-node
+//! invalidator, then audits the books: edge ids stay sequential, every
+//! ticket resolves, stats and telemetry agree, and a full sweep drains
+//! the cache.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use tgopt_repro::datasets::{generate, spec_by_name};
 use tgopt_repro::graph::{Edge, EdgeStream, NodeId, TemporalGraph, Time};
 use tgopt_repro::serve::{ModelBundle, ServeConfig, TgServer};
-use tgopt_repro::tensor::init;
+use tgopt_repro::tensor::{init, Tensor};
 use tgopt_repro::tgat::engine::GraphContext;
 use tgopt_repro::tgat::{TgatConfig, TgatParams};
 use tgopt_repro::tgopt::{unpack_key, OptConfig, TgoptEngine};
@@ -68,6 +79,15 @@ fn build_world() -> (Arc<ModelBundle>, Vec<Edge>) {
     (Arc::new(ModelBundle::new(params, graph, nf, ef).unwrap()), pool)
 }
 
+/// Raises its flag when dropped, including during a panic unwind.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 #[test]
 fn concurrent_ingest_and_queries_hold_invariants() {
     let (bundle, pool) = build_world();
@@ -90,12 +110,14 @@ fn concurrent_ingest_and_queries_hold_invariants() {
         let writer_done = &writer_done;
 
         scope.spawn(move || {
+            // Released on unwind too: a failed assertion here must fail
+            // the test, not leave the snapshot checker spinning forever.
+            let _done = SetOnDrop(writer_done);
             for e in pool {
                 let eid = server.submit_edge(e.src, e.dst, e.time).unwrap();
                 assert_eq!(eid, e.eid, "edge ids must be assigned in submission order");
                 std::thread::yield_now();
             }
-            writer_done.store(true, Ordering::Release);
         });
 
         // Snapshot checker: epochs advance monotonically and no view ever
@@ -115,6 +137,14 @@ fn concurrent_ingest_and_queries_hold_invariants() {
                     2 * v.num_edges(),
                     "torn view at epoch {epoch}: posting count does not match visible edges"
                 );
+                std::thread::yield_now();
+            }
+        });
+
+        // Per-node invalidation racing the ingest sweeps and the stores.
+        scope.spawn(move || {
+            for node in 0..N_NODES {
+                server.invalidate_node(node as NodeId);
                 std::thread::yield_now();
             }
         });
@@ -148,6 +178,8 @@ fn concurrent_ingest_and_queries_hold_invariants() {
     let stats = server.shutdown();
     assert_eq!(stats.edges_ingested, N_POOL as u64);
     assert_eq!(stats.completed, (QUERY_THREADS * QUERIES_PER_THREAD) as u64);
+    assert_eq!(stats.rejected_deadline, 0);
+    assert!(stats.submitted >= stats.completed + stats.rejected_deadline);
 
     // Cache accounting identity at quiescence: every row ever admitted
     // was either evicted, invalidated, or is still resident.
@@ -240,4 +272,133 @@ fn concurrent_ingest_and_queries_hold_invariants() {
             "stale layer-2 entry survived the fingerprint sweep: ({n}, {t}) deviates by {diff}"
         );
     }
+
+    // Quiesced: a full per-node sweep empties every layer's cache, and
+    // the accounting identity still balances with nothing resident.
+    for node in 0..N_NODES {
+        cache.invalidate_node(node as NodeId);
+    }
+    for l in [1, 2] {
+        let layer = cache.layer(l).unwrap();
+        assert_eq!(layer.len(), 0, "layer-{l} cache not drained by a full sweep");
+    }
+    assert_eq!(cache.len(), 0);
+    assert_eq!(
+        cache.total_inserted(),
+        cache.total_evictions() + cache.total_invalidated(),
+        "cache accounting identity violated after the drain"
+    );
+}
+
+/// Bundle over a generated graph with `n_ingest` spare edge-feature rows
+/// so live ingest has capacity.
+fn generated_bundle(n_ingest: usize) -> (Arc<ModelBundle>, usize, Time) {
+    let spec = spec_by_name("snap-email").unwrap();
+    let data = generate(&spec, 0.01, 21).unwrap();
+    let cfg = TgatConfig {
+        dim: 8,
+        edge_dim: data.dim(),
+        time_dim: 8,
+        n_layers: 2,
+        n_heads: 2,
+        n_neighbors: 4,
+    };
+    let params = TgatParams::init(cfg, 3).unwrap();
+    let graph = TemporalGraph::from_stream(&data.stream);
+    let num_nodes = data.stream.num_nodes();
+    let max_t = data.stream.max_time();
+    let node_features = Tensor::zeros(num_nodes, cfg.dim);
+    let base_rows = data.edge_features.rows();
+    let mut rng = init::seeded_rng(9);
+    let extra = init::normal(&mut rng, n_ingest, data.dim(), 0.5);
+    let mut all = Vec::with_capacity((base_rows + n_ingest) * data.dim());
+    all.extend_from_slice(data.edge_features.as_slice());
+    all.extend_from_slice(extra.as_slice());
+    let edge_features = Tensor::from_vec(base_rows + n_ingest, data.dim(), all);
+    let b = ModelBundle::new(params, graph, node_features, edge_features).unwrap();
+    (Arc::new(b), num_nodes, max_t)
+}
+
+#[test]
+fn live_serving_under_concurrent_ingest_keeps_the_books() {
+    const N_INGEST: usize = 120;
+    const CLIENTS: usize = 3;
+    const ROUNDS: usize = 6;
+    const PER_ROUND: usize = 30;
+    let (bundle, num_nodes, max_t) = generated_bundle(N_INGEST);
+    let t_query = max_t * 1.01;
+    // Queries over sources with history, all past the stream's end.
+    let ns: Vec<NodeId> = (0..num_nodes as NodeId)
+        .filter(|&n| bundle.graph.degree(n) > 0)
+        .cycle()
+        .take(PER_ROUND)
+        .collect();
+    let ts = vec![t_query; PER_ROUND];
+
+    let cfg = ServeConfig::default()
+        .with_workers(2)
+        .with_queue_capacity(4096)
+        .with_live_ingest(true);
+    let server = TgServer::threaded(Arc::clone(&bundle), cfg).unwrap();
+
+    std::thread::scope(|scope| {
+        let server = &server;
+        for _ in 0..CLIENTS {
+            let (ns, ts) = (&ns, &ts);
+            scope.spawn(move || {
+                for _ in 0..ROUNDS {
+                    for ticket in server.submit_many(ns, ts).unwrap() {
+                        // Live edges land mid-flight, so values shift by
+                        // design; every ticket must still resolve cleanly.
+                        let row = ticket.wait().unwrap();
+                        assert!(row.iter().all(|x| x.is_finite()));
+                    }
+                }
+            });
+        }
+
+        // Ingest racing the clients: edge ids come out sequential.
+        let base = bundle.graph.num_edges() as usize;
+        scope.spawn(move || {
+            for i in 0..N_INGEST {
+                let src = (i * 7 + 1) as NodeId % num_nodes as NodeId;
+                let dst = (i * 11 + 3) as NodeId % num_nodes as NodeId;
+                let time = t_query - 0.5 + i as Time * 1e-3;
+                let eid = server.submit_edge(src, dst, time).unwrap();
+                assert_eq!(eid as usize, base + i, "edge ids must stay sequential");
+                if i % 16 == 0 {
+                    std::thread::yield_now();
+                }
+            }
+        });
+
+        // And an invalidator sweeping every node.
+        scope.spawn(move || {
+            for node in 0..num_nodes {
+                server.invalidate_node(node as NodeId);
+            }
+        });
+    });
+
+    let live = server.stats();
+    assert_eq!(live.edges_ingested, N_INGEST as u64);
+    assert!(live.submitted >= live.completed + live.rejected_deadline, "identity violated: {live:?}");
+
+    // Quiesced: a full sweep leaves the cache empty; an underflowing
+    // count or a leaked entry would show up as a nonzero length.
+    for node in 0..num_nodes {
+        server.invalidate_node(node as NodeId);
+    }
+    let cache = server.shared_cache();
+    assert_eq!(cache.len(), 0, "cache not drained by a full sweep");
+
+    let (finals, telemetry) = server.shutdown_with_telemetry();
+    assert_eq!(finals.completed, (CLIENTS * ROUNDS * PER_ROUND) as u64);
+    assert_eq!(finals.rejected_deadline, 0);
+    assert_eq!(finals.submitted, finals.completed);
+    // Telemetry is derived from the same counters as the stats.
+    assert_eq!(telemetry.serve.submitted, finals.submitted);
+    assert_eq!(telemetry.serve.completed, finals.completed);
+    assert_eq!(telemetry.ingest.edges_appended, N_INGEST as u64);
+    assert_eq!(telemetry.embed_cache.items, 0);
 }

@@ -20,13 +20,13 @@ fn restore_after_invalidation_snapshots_each_key_once() {
     let c1 = caches.layer(1).unwrap();
     let keys: Vec<u64> = (0u32..3).map(|n| pack_key(n, (n + 1) as f32)).collect();
     let rows = Tensor::from_vec(3, 2, vec![0.0; 6]);
-    c1.store(&keys, &rows, false).unwrap();
+    c1.store(&keys, &rows).unwrap();
 
     // Invalidate the middle key, then re-store it with fresh data.
     let removed = c1.invalidate_node(1);
     assert_eq!(removed, 1);
     let fresh = Tensor::from_vec(1, 2, vec![9.0, 9.0]);
-    c1.store(&keys[1..2], &fresh, false).unwrap();
+    c1.store(&keys[1..2], &fresh).unwrap();
     assert_eq!(c1.len(), 3);
 
     // The export — and therefore the snapshot — must carry the key once,
@@ -49,7 +49,7 @@ fn restore_after_invalidation_snapshots_each_key_once() {
     // keys before it.
     let more: Vec<u64> = (10u32..13).map(|n| pack_key(n, 1.0)).collect();
     let rows = Tensor::from_vec(3, 2, vec![0.0; 6]);
-    c1.store(&more, &rows, false).unwrap();
+    c1.store(&more, &rows).unwrap();
     assert!(
         c1.contains(keys[1]),
         "re-stored key evicted as if it were old"
